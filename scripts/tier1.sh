@@ -3,7 +3,8 @@
 # under ThreadSanitizer to catch data races in the qif::exec thread pool,
 # the parallel campaign runner, and the thread-parallel GEMM path, and an
 # AddressSanitizer leg over the .qds corruption-fuzz and reader tests so
-# hostile bytes can never turn into a silent out-of-bounds read.
+# hostile bytes can never turn into a silent out-of-bounds read, and an
+# UndefinedBehaviorSanitizer leg over the trace-storage tests.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -69,12 +70,31 @@ echo "=== tier-1: .qds/.qwp corruption fuzz under ASan ==="
 # hostile bytes into clean errors, never out-of-bounds reads.
 cmake -B build-asan -S . -DQIF_SANITIZE=address
 cmake --build build-asan -j --target test_qds_fuzz test_export test_streaming \
-  test_qwp test_replay
+  test_qwp test_replay test_trace
 ./build-asan/tests/test_qds_fuzz
 ./build-asan/tests/test_export
 ./build-asan/tests/test_streaming
 ./build-asan/tests/test_qwp
 ./build-asan/tests/test_replay
+# A scenario's trace is handed out by move while the client monitor that
+# observed it dies with the run's stack frame: recording into the returned
+# trace must never call back into it (ASan sees the dead frame only with
+# stack-use-after-return detection on).
+ASAN_OPTIONS=detect_stack_use_after_return=1 ./build-asan/tests/test_trace
+
+echo "=== tier-1: trace storage under UBSan ==="
+# The trace log's fixed blocks and the records' inline target lists do
+# their own index arithmetic and union storage; every test that records,
+# dumps, replays, observes or fingerprints traces runs with UB trapping.
+cmake -B build-ubsan -S . -DQIF_SANITIZE=undefined
+cmake --build build-ubsan -j --target test_trace test_export test_replay test_monitor \
+  test_pfs_client test_sim_golden
+./build-ubsan/tests/test_trace
+./build-ubsan/tests/test_export
+./build-ubsan/tests/test_replay
+./build-ubsan/tests/test_monitor
+./build-ubsan/tests/test_pfs_client
+./build-ubsan/tests/test_sim_golden
 
 echo "=== tier-1: benchmark smoke ==="
 # Includes the lane smoke: `qif run --lanes 4` must print the same trace

@@ -148,13 +148,9 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   result.target_body_start = target_job.body_start_time();
   result.events_executed =
       lane_mode ? lane_group->events_executed() : simulation->events_executed();
-  if (lane_mode) {
-    result.trace = cluster.merged_trace();
-    if (client_mon.has_value()) {
-      for (const trace::OpRecord& rec : result.trace.records()) client_mon->observe(rec);
-    }
-  } else {
-    result.trace = cluster.trace_log();
+  result.trace = cluster.take_trace();
+  if (lane_mode && client_mon.has_value()) {
+    for (const trace::OpRecord& rec : result.trace.records()) client_mon->observe(rec);
   }
   if (mitigator.has_value()) {
     result.ctrl = mitigator->report(result.trace, config.window);

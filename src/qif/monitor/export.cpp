@@ -359,7 +359,9 @@ QdsValidated validate_qds_image(const char* data, std::size_t n) {
 
 void materialize_block(const QdsBlockRef& block, void* dst) {
   if (block.codec == 0) {
-    std::memcpy(dst, block.stored, block.raw_bytes);
+    // An empty column's destination may be null, which memcpy forbids even
+    // for zero bytes.
+    if (block.raw_bytes != 0) std::memcpy(dst, block.stored, block.raw_bytes);
   } else {
     qlz_decompress(block.stored, block.stored_bytes, dst, block.raw_bytes);
   }

@@ -19,7 +19,7 @@ PfsClient::PfsClient(Cluster& cluster, NodeId node, Rank rank, std::int32_t job)
                                      std::to_string(rank) + "/j" + std::to_string(job))) {}
 
 void PfsClient::emit(OpType type, FileId file, std::int64_t offset, std::int64_t bytes,
-                     sim::SimTime start, std::vector<std::int32_t> targets,
+                     sim::SimTime start, trace::TargetList targets,
                      const OpFaultStats* faults, std::string path, std::int32_t stripes,
                      std::int32_t stripe_hint) {
   trace::OpRecord rec;
@@ -237,7 +237,7 @@ void PfsClient::close(const FileHandle& fh, DataCallback cb) {
 }
 
 void PfsClient::finish_close(FileId file, sim::SimTime start,
-                             std::vector<std::int32_t> targets,
+                             trace::TargetList targets,
                              std::shared_ptr<OpFaultStats> faults, DataCallback cb) {
   rpc_faultable(
       cluster_.mds_port(), 256, 256,
@@ -331,7 +331,7 @@ void PfsClient::data_op(bool is_write, const FileHandle& fh, std::int64_t offset
     std::int64_t len;
   };
   auto chunks = std::make_shared<std::vector<Chunk>>();
-  std::vector<std::int32_t> targets;
+  trace::TargetList targets;
   for (const Extent& e : fh.layout->map(offset, len)) {
     std::int64_t pos = 0;
     while (pos < e.len) {

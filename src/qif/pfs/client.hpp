@@ -140,13 +140,13 @@ class PfsClient {
   /// `path`/`stripes`/`stripe_hint` are the replay-metadata columns of the
   /// record (empty/zero for data ops); see trace::OpRecord.
   void emit(OpType type, FileId file, std::int64_t offset, std::int64_t bytes,
-            sim::SimTime start, std::vector<std::int32_t> targets,
+            sim::SimTime start, trace::TargetList targets,
             const OpFaultStats* faults = nullptr, std::string path = {},
             std::int32_t stripes = 0, std::int32_t stripe_hint = -1);
   void data_op(bool is_write, const FileHandle& fh, std::int64_t offset, std::int64_t len,
                DataCallback cb);
   void note_small_write(const FileHandle& fh, std::int64_t offset, std::int64_t len);
-  void finish_close(FileId file, sim::SimTime start, std::vector<std::int32_t> targets,
+  void finish_close(FileId file, sim::SimTime start, trace::TargetList targets,
                     std::shared_ptr<OpFaultStats> faults, DataCallback cb);
 
   /// Runs one RPC under the timeout/retry machine when `rpc_deadline` > 0;

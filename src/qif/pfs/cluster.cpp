@@ -36,7 +36,8 @@ Cluster::Cluster(sim::LaneGroup& lanes, const ClusterConfig& config)
     port_lane_[static_cast<std::size_t>(p)] = p * L / config_.n_oss;
   }
   port_lane_[static_cast<std::size_t>(config_.n_oss)] = lanes.meta_lane();
-  shards_.resize(static_cast<std::size_t>(L));
+  shard_logs_.resize(static_cast<std::size_t>(L));
+  shard_keys_.resize(static_cast<std::size_t>(L));
   build_servers(config_);
   net_ = std::make_unique<NetworkFabric>(lanes, config_.network, node_lane_, port_lane_);
 }
@@ -89,44 +90,41 @@ void Cluster::record_client_op(NodeId node, trace::OpRecord rec) {
     trace_log_.record(std::move(rec));
     return;
   }
-  TraceShard& sh = shards_[static_cast<std::size_t>(lane_of_node(node))];
+  const auto lane = static_cast<std::size_t>(lane_of_node(node));
+  std::vector<ShardKey>& keys = shard_keys_[lane];
   const sim::EventKey key = sim_for_node(node).current_key();
   std::uint32_t idx = 0;
-  if (!sh.keys.empty() && sh.keys.back().key == key) idx = sh.keys.back().idx + 1;
-  sh.keys.push_back(ShardKey{key, idx});
-  sh.log.record(std::move(rec));
+  if (!keys.empty() && keys.back().key == key) idx = keys.back().idx + 1;
+  keys.push_back(ShardKey{key, idx});
+  shard_logs_[lane].record(std::move(rec));
 }
 
-trace::TraceLog Cluster::merged_trace() const {
-  trace::TraceLog merged;
+trace::TraceLog Cluster::take_trace() {
   if (lanes_ == nullptr) {
-    merged.reserve(trace_log_.size());
-    for (const auto& rec : trace_log_.records()) merged.record(rec);
-    return merged;
+    trace_log_.shrink_to_fit();
+    return std::move(trace_log_);
   }
   // Gather (shard, position) pairs and sort by (event key, emit index).
   // Keys are globally unique per event (the origin word carries the entity
   // context, and each entity lives on exactly one engine), so the order is
   // total and identical for every lane count.
-  struct Ref {
-    std::uint32_t shard;
-    std::uint32_t pos;
-  };
-  std::vector<Ref> refs;
+  std::vector<trace::TraceLog::RecordRef> order;
   std::size_t total = 0;
-  for (const auto& sh : shards_) total += sh.log.size();
-  refs.reserve(total);
-  for (std::uint32_t s = 0; s < shards_.size(); ++s) {
-    for (std::uint32_t i = 0; i < shards_[s].log.size(); ++i) refs.push_back(Ref{s, i});
+  for (const auto& log : shard_logs_) total += log.size();
+  order.reserve(total);
+  for (std::uint32_t s = 0; s < shard_logs_.size(); ++s) {
+    for (std::uint32_t i = 0; i < shard_logs_[s].size(); ++i) order.push_back({s, i});
   }
-  std::sort(refs.begin(), refs.end(), [this](const Ref& a, const Ref& b) {
-    const ShardKey& ka = shards_[a.shard].keys[a.pos];
-    const ShardKey& kb = shards_[b.shard].keys[b.pos];
-    if (ka.key == kb.key) return ka.idx < kb.idx;
-    return ka.key < kb.key;
-  });
-  merged.reserve(total);
-  for (const Ref& r : refs) merged.record(shards_[r.shard].log.records()[r.pos]);
+  std::sort(order.begin(), order.end(),
+            [this](const trace::TraceLog::RecordRef& a, const trace::TraceLog::RecordRef& b) {
+              const ShardKey& ka = shard_keys_[a.log][a.index];
+              const ShardKey& kb = shard_keys_[b.log][b.index];
+              if (ka.key == kb.key) return ka.idx < kb.idx;
+              return ka.key < kb.key;
+            });
+  for (auto& keys : shard_keys_) keys.clear();
+  trace::TraceLog merged = trace::TraceLog::gather(shard_logs_, order);
+  merged.shrink_to_fit();
   return merged;
 }
 

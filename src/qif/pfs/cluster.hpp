@@ -122,15 +122,19 @@ class Cluster {
 
   /// Sink for a completed client op.  Classic mode appends to the single
   /// trace log; lane mode appends to the executing lane's shard together
-  /// with the executing event's key, so merged_trace() can reconstruct the
+  /// with the executing event's key, so take_trace() can reconstruct the
   /// exact completion order the sequential engine would have produced.
   void record_client_op(NodeId node, trace::OpRecord rec);
 
-  /// Lane mode: the per-lane shards merged into sequential completion order
-  /// — records sorted by (event key, emit index within the event), which is
-  /// precisely the order the single-engine run records them in.  Classic
-  /// mode returns a copy of the plain log.
-  [[nodiscard]] trace::TraceLog merged_trace() const;
+  /// Hands the run's trace out by move, leaving the cluster's log empty.
+  /// Classic mode moves the plain log out whole; no record is copied.  Lane
+  /// mode moves the records out of the per-lane shards in sequential
+  /// completion order — sorted by (event key, emit index within the
+  /// event), which is precisely the order the single-engine run records
+  /// them in.  Either way the returned log's last block is trimmed to fit
+  /// (TraceLog::shrink_to_fit).  The returned log has no observer; the
+  /// cluster's log keeps its own.
+  [[nodiscard]] trace::TraceLog take_trace();
 
   /// Write-size bookkeeping on the MDT.  In classic mode this is the direct
   /// zero-delay call the sequential cluster always made; in lane mode it
@@ -159,10 +163,6 @@ class Cluster {
     sim::EventKey key;
     std::uint32_t idx;
   };
-  struct TraceShard {
-    trace::TraceLog log;
-    std::vector<ShardKey> keys;
-  };
 
   void build_servers(const ClusterConfig& config);
 
@@ -177,7 +177,10 @@ class Cluster {
   std::vector<std::unique_ptr<PfsClient>> clients_;
   GateFactory gate_factory_;
   trace::TraceLog trace_log_;
-  std::vector<TraceShard> shards_;  // lane mode: one per data lane
+  // Lane mode: one trace shard per data lane, and for each shard record
+  // the key that orders it.
+  std::vector<trace::TraceLog> shard_logs_;
+  std::vector<std::vector<ShardKey>> shard_keys_;
 };
 
 }  // namespace qif::pfs

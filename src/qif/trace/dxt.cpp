@@ -23,10 +23,14 @@ pfs::OpType op_from_name(std::string_view name, std::int64_t line, std::int64_t 
 }
 
 // An empty path serializes as "-" so the column count stays fixed; a real
-// path must be whitespace-free for the same reason.
+// path must be whitespace-free for the same reason, and may not be "-"
+// itself, which would read back as empty.
 constexpr std::string_view kEmptyPath = "-";
 
 void check_path_writable(const std::string& path) {
+  if (path == kEmptyPath) {
+    throw std::invalid_argument("DXT path '-' is reserved for an empty path");
+  }
   for (const char c : path) {
     if (c == ' ' || c == '\t' || c == '\n' || c == '\r') {
       throw std::invalid_argument("DXT path contains whitespace: '" + path + "'");

@@ -4,15 +4,27 @@
 
 namespace qif::trace {
 
-std::vector<OpRecord> TraceLog::sorted_for_job(std::int32_t job) const {
-  std::vector<OpRecord> out;
-  for (const auto& r : records_) {
-    if (r.job == job) out.push_back(r);
+std::vector<const OpRecord*> TraceLog::sorted_for_job(std::int32_t job) const {
+  std::size_t n = 0;
+  for (const OpRecord& r : records()) n += r.job == job ? 1 : 0;
+  std::vector<const OpRecord*> out;
+  out.reserve(n);
+  for (const OpRecord& r : records()) {
+    if (r.job == job) out.push_back(&r);
   }
-  std::sort(out.begin(), out.end(), [](const OpRecord& a, const OpRecord& b) {
-    if (a.rank != b.rank) return a.rank < b.rank;
-    return a.op_index < b.op_index;
+  std::sort(out.begin(), out.end(), [](const OpRecord* a, const OpRecord* b) {
+    if (a->rank != b->rank) return a->rank < b->rank;
+    return a->op_index < b->op_index;
   });
+  return out;
+}
+
+TraceLog TraceLog::gather(std::span<TraceLog> logs, std::span<const RecordRef> order) {
+  TraceLog out;
+  for (const RecordRef& ref : order) {
+    out.append(std::move(logs[ref.log].at(ref.index)));
+  }
+  for (TraceLog& log : logs) log.clear();
   return out;
 }
 

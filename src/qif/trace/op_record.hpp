@@ -8,9 +8,16 @@
 // interference run).
 #pragma once
 
+#include <algorithm>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
+#include <iterator>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "qif/pfs/types.hpp"
@@ -18,34 +25,133 @@
 
 namespace qif::trace {
 
+/// The servers one op touched, in first-touch order.  Stores up to
+/// kInline ids in place and spills to the heap only beyond that, so
+/// recording a typical op costs no allocation: every shipped workload on
+/// the paper's 6-OST testbed touches at most 6 servers per op, and the
+/// 1008-client cluster touches exactly 1.
+class TargetList {
+ public:
+  using value_type = std::int32_t;
+  using size_type = std::size_t;
+  using iterator = const std::int32_t*;
+  using const_iterator = const std::int32_t*;
+
+  static constexpr std::uint32_t kInline = 6;
+
+  TargetList() = default;
+  TargetList(std::initializer_list<std::int32_t> ids) { assign(ids.begin(), ids.end()); }
+  TargetList(const TargetList& other) { assign(other.begin(), other.end()); }
+  TargetList(TargetList&& other) noexcept { steal(other); }
+  TargetList& operator=(const TargetList& other) {
+    if (this != &other) {
+      clear();
+      assign(other.begin(), other.end());
+    }
+    return *this;
+  }
+  TargetList& operator=(TargetList&& other) noexcept {
+    if (this != &other) {
+      release();
+      steal(other);
+    }
+    return *this;
+  }
+  ~TargetList() { release(); }
+
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] std::size_t capacity() const { return cap_; }
+  [[nodiscard]] const std::int32_t* data() const { return on_heap() ? heap_ : inline_; }
+  [[nodiscard]] const_iterator begin() const { return data(); }
+  [[nodiscard]] const_iterator end() const { return data() + size_; }
+  [[nodiscard]] std::int32_t operator[](std::size_t i) const { return data()[i]; }
+  [[nodiscard]] std::int32_t back() const { return data()[size_ - 1]; }
+
+  void push_back(std::int32_t id) {
+    if (size_ == cap_) grow(2 * cap_);
+    buffer()[size_++] = id;
+  }
+  void clear() { size_ = 0; }
+
+  friend bool operator==(const TargetList& a, const TargetList& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+
+ private:
+  [[nodiscard]] bool on_heap() const { return cap_ > kInline; }
+  [[nodiscard]] std::int32_t* buffer() { return on_heap() ? heap_ : inline_; }
+  void assign(const std::int32_t* first, const std::int32_t* last) {
+    const auto n = static_cast<std::uint32_t>(last - first);
+    if (n > cap_) grow(n);
+    std::copy(first, last, buffer());
+    size_ = n;
+  }
+  void grow(std::uint32_t cap) {
+    auto* fresh = new std::int32_t[cap];
+    std::copy(begin(), end(), fresh);
+    release();
+    heap_ = fresh;
+    cap_ = cap;
+  }
+  void release() {
+    if (on_heap()) delete[] heap_;
+    cap_ = kInline;
+  }
+  /// Takes `other`'s ids (and its heap buffer, if any); leaves it empty.
+  void steal(TargetList& other) {
+    size_ = other.size_;
+    cap_ = other.cap_;
+    if (other.on_heap()) {
+      heap_ = other.heap_;
+    } else {
+      std::copy(other.inline_, other.inline_ + other.size_, inline_);
+    }
+    other.size_ = 0;
+    other.cap_ = kInline;
+  }
+
+  std::uint32_t size_ = 0;
+  std::uint32_t cap_ = kInline;
+  union {
+    std::int32_t inline_[kInline] = {};
+    std::int32_t* heap_;
+  };
+};
+
 struct OpRecord {
   std::int32_t job = 0;           ///< workload instance id within the run
   pfs::Rank rank = 0;             ///< issuing process
   std::int64_t op_index = 0;      ///< per-rank monotonically increasing index
-  pfs::OpType type = pfs::OpType::kRead;
   pfs::FileId file = pfs::kInvalidFile;
   std::int64_t offset = 0;        ///< file offset (data ops)
   std::int64_t bytes = 0;         ///< payload size (data ops)
   sim::SimTime start = 0;
   sim::SimTime end = 0;
   /// Servers this op touched: OST ids for data ops; kMdtTarget for metadata.
-  std::vector<std::int32_t> targets;
+  TargetList targets;
+  pfs::OpType type = pfs::OpType::kRead;
   // Fault-injection outcome (all zero/false on healthy runs; populated only
   // when the client timeout/retry machinery is enabled).
+  bool failed = false;        ///< retries exhausted — op surfaced EIO
   std::int32_t retries = 0;   ///< RPC attempts re-issued after a timeout
   std::int32_t timeouts = 0;  ///< deadline expiries observed by this op
-  bool failed = false;        ///< retries exhausted — op surfaced EIO
   // Replay metadata (the DXT v2 columns): the namespace path a metadata op
   // addressed and the layout request of a create.  These let trace replay
   // re-issue the op stream against a fresh cluster; they are deliberately
   // excluded from trace_fingerprint(), which covers the semantic op stream
   // the golden pins are stated in.
-  std::string path;               ///< create/open/stat/unlink/mkdir target path
   std::int32_t stripes = 0;       ///< kCreate: requested stripe count (0 = all OSTs)
   std::int32_t stripe_hint = -1;  ///< kCreate: requested starting OST (-1 = hashed)
+  std::string path;               ///< create/open/stat/unlink/mkdir target path
 
   [[nodiscard]] sim::SimDuration duration() const { return end - start; }
 };
+
+// The in-memory trace is the largest structure of a big run.  The fields
+// above are ordered so the only padding is two bytes after `failed` and
+// four before `path`, which is what lets six inline targets fit in 144 B.
+static_assert(sizeof(OpRecord) <= 144, "OpRecord grew; reorder fields or shrink TargetList");
 
 /// Sentinel "server id" for the metadata target in `targets` and in the
 /// per-server feature vectors (OSTs use their dense ids 0..n-1; the MDT is
@@ -54,13 +160,112 @@ struct OpRecord {
 inline constexpr std::int32_t kMdtTarget = -1;
 
 /// An append-only in-memory trace log for one run.  Completion-ordered.
+///
+/// Records live in fixed blocks: block k holds 16 << k records up to a cap
+/// of 4096 (576 KiB), and every block after that holds the cap.  Appending
+/// therefore never holds two copies of the log alive the way a doubling
+/// vector does, and never moves a record (a pointer or reference to one
+/// stays valid until the log is cleared or destroyed), except that the
+/// first append after shrink_to_fit() regrows the trimmed last block.
+///
+/// The observer belongs to this log object, not to its records: copying or
+/// moving a log never carries it along, so a log handed out of a run can
+/// not call back into a monitor that died with the run.
 class TraceLog {
  public:
   using Observer = std::function<void(const OpRecord&)>;
 
+  /// Block sizes: the first block holds kFirstBlockRecords, each next one
+  /// twice as many up to kMaxBlockRecords, and every block from the first
+  /// kGrowingRecords on holds kMaxBlockRecords.
+  static constexpr std::size_t kFirstBlockRecords = 16;
+  static constexpr std::size_t kMaxBlockRecords = 4096;
+  static constexpr std::size_t kGrowingRecords = kMaxBlockRecords - kFirstBlockRecords;
+
+  /// Position of one record inside one of several logs (see gather()).
+  struct RecordRef {
+    std::uint32_t log;
+    std::uint32_t index;
+  };
+
+  /// Read-only view of the records in log order.
+  class Records {
+   public:
+    class const_iterator {
+     public:
+      using iterator_category = std::forward_iterator_tag;
+      using value_type = OpRecord;
+      using difference_type = std::ptrdiff_t;
+      using pointer = const OpRecord*;
+      using reference = const OpRecord&;
+
+      const_iterator() = default;
+      reference operator*() const { return (*blocks_)[block_][pos_]; }
+      pointer operator->() const { return &**this; }
+      const_iterator& operator++() {
+        if (++pos_ == (*blocks_)[block_].size()) {
+          ++block_;
+          pos_ = 0;
+        }
+        return *this;
+      }
+      const_iterator operator++(int) {
+        const_iterator old = *this;
+        ++*this;
+        return old;
+      }
+      friend bool operator==(const const_iterator& a, const const_iterator& b) {
+        return a.block_ == b.block_ && a.pos_ == b.pos_;
+      }
+
+     private:
+      friend class Records;
+      const_iterator(const std::vector<std::vector<OpRecord>>* blocks, std::size_t block)
+          : blocks_(blocks), block_(block) {}
+      const std::vector<std::vector<OpRecord>>* blocks_ = nullptr;
+      std::size_t block_ = 0;
+      std::size_t pos_ = 0;
+    };
+    using iterator = const_iterator;
+    using value_type = OpRecord;
+    using size_type = std::size_t;
+
+    [[nodiscard]] std::size_t size() const { return log_->size_; }
+    [[nodiscard]] bool empty() const { return log_->size_ == 0; }
+    [[nodiscard]] const OpRecord& operator[](std::size_t i) const { return log_->at(i); }
+    [[nodiscard]] const OpRecord& front() const { return log_->blocks_.front().front(); }
+    [[nodiscard]] const OpRecord& back() const { return log_->blocks_.back().back(); }
+    [[nodiscard]] const_iterator begin() const { return {&log_->blocks_, 0}; }
+    [[nodiscard]] const_iterator end() const { return {&log_->blocks_, log_->blocks_.size()}; }
+
+   private:
+    friend class TraceLog;
+    explicit Records(const TraceLog* log) : log_(log) {}
+    const TraceLog* log_;
+  };
+
+  TraceLog() = default;
+  TraceLog(const TraceLog& other) {
+    for (const OpRecord& r : other.records()) append(r);
+  }
+  TraceLog(TraceLog&& other) noexcept
+      : blocks_(std::exchange(other.blocks_, {})), size_(std::exchange(other.size_, 0)) {}
+  /// Replaces the records; this log keeps its own observer.
+  TraceLog& operator=(const TraceLog& other) {
+    if (this != &other) *this = TraceLog(other);
+    return *this;
+  }
+  TraceLog& operator=(TraceLog&& other) noexcept {
+    if (this != &other) {
+      blocks_ = std::exchange(other.blocks_, {});
+      size_ = std::exchange(other.size_, 0);
+    }
+    return *this;
+  }
+
   void record(OpRecord rec) {
     if (observer_) observer_(rec);
-    records_.push_back(std::move(rec));
+    append(std::move(rec));
   }
 
   /// Installs a streaming observer invoked for every record as it is
@@ -69,18 +274,71 @@ class TraceLog {
   /// aggregator process).
   void set_observer(Observer obs) { observer_ = std::move(obs); }
 
-  [[nodiscard]] const std::vector<OpRecord>& records() const { return records_; }
-  [[nodiscard]] std::size_t size() const { return records_.size(); }
-  [[nodiscard]] bool empty() const { return records_.empty(); }
-  void clear() { records_.clear(); }
-  void reserve(std::size_t n) { records_.reserve(n); }
+  /// Releases the unused tail of the last block, so a log that outlives
+  /// its run (a campaign keeps every baseline) holds no slack.
+  void shrink_to_fit() {
+    if (!blocks_.empty()) blocks_.back().shrink_to_fit();
+  }
 
-  /// Records of one job sorted by (rank, op_index) — the canonical order
-  /// used for baseline/interference matching.
-  [[nodiscard]] std::vector<OpRecord> sorted_for_job(std::int32_t job) const;
+  [[nodiscard]] Records records() const { return Records(this); }
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  void clear() {
+    blocks_.clear();
+    size_ = 0;
+  }
+
+  /// Pointers to the records of one job sorted by (rank, op_index) — the
+  /// canonical order used for baseline/interference matching.  They stay
+  /// valid while this log lives and is not cleared.
+  [[nodiscard]] std::vector<const OpRecord*> sorted_for_job(std::int32_t job) const;
+
+  /// Builds one log by moving the records `order` names out of `logs`, in
+  /// that order, then clears every log in `logs`.  Observers are not
+  /// called; the result has none.
+  [[nodiscard]] static TraceLog gather(std::span<TraceLog> logs,
+                                       std::span<const RecordRef> order);
 
  private:
-  std::vector<OpRecord> records_;
+  static constexpr std::size_t kFirstBlockShift = std::countr_zero(kFirstBlockRecords);
+  static constexpr std::size_t kMaxBlockShift = std::countr_zero(kMaxBlockRecords);
+  static constexpr std::size_t kGrowingBlocks = kMaxBlockShift - kFirstBlockShift;
+  static_assert(std::has_single_bit(kFirstBlockRecords) && std::has_single_bit(kMaxBlockRecords));
+
+  [[nodiscard]] static std::size_t block_capacity(std::size_t block) {
+    return std::size_t{1} << std::min(kFirstBlockShift + block, kMaxBlockShift);
+  }
+
+  /// (block, position in block) of record i.
+  [[nodiscard]] static std::pair<std::size_t, std::size_t> locate(std::size_t i) {
+    if (i < kGrowingRecords) {
+      const std::size_t block = std::bit_width((i >> kFirstBlockShift) + 1) - 1;
+      return {block, i - (((std::size_t{1} << block) - 1) << kFirstBlockShift)};
+    }
+    const std::size_t j = i - kGrowingRecords;
+    return {kGrowingBlocks + (j >> kMaxBlockShift), j & ((std::size_t{1} << kMaxBlockShift) - 1)};
+  }
+  [[nodiscard]] const OpRecord& at(std::size_t i) const {
+    const auto [block, pos] = locate(i);
+    return blocks_[block][pos];
+  }
+  [[nodiscard]] OpRecord& at(std::size_t i) {
+    const auto [block, pos] = locate(i);
+    return blocks_[block][pos];
+  }
+
+  void append(OpRecord rec) {
+    if (blocks_.empty() || blocks_.back().size() == block_capacity(blocks_.size() - 1)) {
+      const std::size_t capacity = block_capacity(blocks_.size());
+      blocks_.emplace_back().reserve(capacity);
+    }
+    blocks_.back().push_back(std::move(rec));
+    ++size_;
+  }
+
+  // Every block but the last is full; no block is empty.
+  std::vector<std::vector<OpRecord>> blocks_;
+  std::size_t size_ = 0;
   Observer observer_;
 };
 

@@ -152,7 +152,7 @@ std::pair<std::string, ReplayOptions> parse_replay_arg(const std::string& arg) {
 
 WorkloadProgram build_replay_programs(const trace::TraceLog& log,
                                       const ReplayOptions& options) {
-  const std::vector<trace::OpRecord> records = log.sorted_for_job(options.job);
+  const std::vector<const trace::OpRecord*> records = log.sorted_for_job(options.job);
   if (records.empty()) {
     std::set<std::int32_t> jobs;
     for (const auto& r : log.records()) jobs.insert(r.job);
@@ -162,9 +162,10 @@ WorkloadProgram build_replay_programs(const trace::TraceLog& log,
          (jobs.empty() ? " (trace is empty)" : " (jobs present: " + have + ")"));
   }
 
-  const int n_ranks = static_cast<int>(records.back().rank) + 1;
+  const int n_ranks = static_cast<int>(records.back()->rank) + 1;
   std::vector<RankAssembly> ranks(static_cast<std::size_t>(n_ranks));
-  for (const auto& rec : records) {
+  for (const trace::OpRecord* ptr : records) {
+    const trace::OpRecord& rec = *ptr;
     if (rec.rank < 0) fail("trace op (" + describe(rec) + ") has a negative rank");
     RankAssembly& a = ranks[static_cast<std::size_t>(rec.rank)];
     if (rec.op_index != a.next_op_index) {

@@ -13,7 +13,7 @@ namespace {
 
 trace::OpRecord op(std::int32_t job, pfs::Rank rank, std::int64_t idx, pfs::OpType type,
                    std::int64_t offset, std::int64_t bytes,
-                   std::vector<std::int32_t> targets) {
+                   trace::TargetList targets) {
   trace::OpRecord r;
   r.job = job;
   r.rank = rank;
@@ -101,6 +101,35 @@ TEST(DxtExport, WriterRejectsWhitespaceInPaths) {
   EXPECT_THROW(trace::write_dxt(ss, log), std::invalid_argument);
 }
 
+TEST(DxtExport, EmptyPathRoundTripsAndDashPathIsRejected) {
+  // An empty path is written as "-" and reads back empty.
+  trace::TraceLog log;
+  log.record(op(0, 0, 0, pfs::OpType::kWrite, 0, 8, {1}));
+  trace::OpRecord named = op(0, 0, 1, pfs::OpType::kStat, 0, 0, {trace::kMdtTarget});
+  named.path = "/-";
+  log.record(named);
+  std::stringstream ss;
+  trace::write_dxt(ss, log);
+  const trace::TraceLog loaded = trace::read_dxt(ss);
+  ASSERT_EQ(loaded.size(), 2u);
+  EXPECT_TRUE(loaded.records()[0].path.empty());
+  EXPECT_EQ(loaded.records()[1].path, "/-");
+
+  // A real path that is literally "-" would read back as empty, so the
+  // writer refuses it.
+  trace::TraceLog dash;
+  trace::OpRecord rec = op(0, 0, 0, pfs::OpType::kOpen, 0, 0, {trace::kMdtTarget});
+  rec.path = "-";
+  dash.record(rec);
+  std::stringstream out;
+  try {
+    trace::write_dxt(out, dash);
+    ADD_FAILURE() << "write_dxt accepted the path '-'";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'-'"), std::string::npos) << e.what();
+  }
+}
+
 TEST(DxtExport, HeaderlessInputParsesAsVersion1) {
   // Pre-metadata dumps have no version header and no file/path columns.
   std::stringstream ss("0 0 0 read 4096 8 1000 2000 1 2\n");
@@ -111,7 +140,7 @@ TEST(DxtExport, HeaderlessInputParsesAsVersion1) {
   EXPECT_EQ(r.bytes, 8);
   EXPECT_EQ(r.file, pfs::kInvalidFile);
   EXPECT_TRUE(r.path.empty());
-  EXPECT_EQ(r.targets, (std::vector<std::int32_t>{1, 2}));
+  EXPECT_EQ(r.targets, (trace::TargetList{1, 2}));
 }
 
 /// Pins the reader diagnostics' exact line/column format.  These strings

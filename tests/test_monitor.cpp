@@ -15,7 +15,7 @@ namespace qif::monitor {
 namespace {
 
 trace::OpRecord data_op(pfs::OpType type, std::int64_t bytes, sim::SimTime start,
-                        sim::SimDuration dur, std::vector<std::int32_t> targets,
+                        sim::SimDuration dur, trace::TargetList targets,
                         std::int32_t job = 0) {
   trace::OpRecord r;
   r.job = job;

@@ -90,7 +90,7 @@ TEST_F(ClusterFixture, MetadataOpsTargetMdt) {
 
 TEST_F(ClusterFixture, StripedWriteTargetsAllItsOsts) {
   PfsClient& client = cluster->make_client(0, 0, 0);
-  std::vector<std::int32_t> targets;
+  trace::TargetList targets;
   client.create("/wide", 0, [&](FileHandle fh) {
     client.write(fh, 0, 6 << 20, [] {});  // one stripe unit on each OST
   });

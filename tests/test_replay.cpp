@@ -85,15 +85,15 @@ TEST(Replay, ClosedLoopGoldenReproducesTheDumpedOpStream) {
   const auto got = replayed.sorted_for_job(0);
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(got[i].rank, want[i].rank) << i;
-    EXPECT_EQ(got[i].op_index, want[i].op_index) << i;
-    EXPECT_EQ(got[i].type, want[i].type) << i;
-    EXPECT_EQ(got[i].offset, want[i].offset) << i;
-    EXPECT_EQ(got[i].bytes, want[i].bytes) << i;
-    EXPECT_EQ(got[i].start, want[i].start) << i;  // original timing, exactly
-    EXPECT_EQ(got[i].end, want[i].end) << i;
-    EXPECT_EQ(got[i].path, want[i].path) << i;
-    EXPECT_EQ(got[i].targets, want[i].targets) << i;
+    EXPECT_EQ(got[i]->rank, want[i]->rank) << i;
+    EXPECT_EQ(got[i]->op_index, want[i]->op_index) << i;
+    EXPECT_EQ(got[i]->type, want[i]->type) << i;
+    EXPECT_EQ(got[i]->offset, want[i]->offset) << i;
+    EXPECT_EQ(got[i]->bytes, want[i]->bytes) << i;
+    EXPECT_EQ(got[i]->start, want[i]->start) << i;  // original timing, exactly
+    EXPECT_EQ(got[i]->end, want[i]->end) << i;
+    EXPECT_EQ(got[i]->path, want[i]->path) << i;
+    EXPECT_EQ(got[i]->targets, want[i]->targets) << i;
   }
 }
 

@@ -46,12 +46,12 @@ TEST_P(WorkloadScenarioTest, OpIndicesAreDensePerRank) {
   const auto sorted = res.trace.sorted_for_job(0);
   pfs::Rank rank = -1;
   std::int64_t expected = 0;
-  for (const auto& r : sorted) {
-    if (r.rank != rank) {
-      rank = r.rank;
+  for (const trace::OpRecord* r : sorted) {
+    if (r->rank != rank) {
+      rank = r->rank;
       expected = 0;
     }
-    EXPECT_EQ(r.op_index, expected) << GetParam() << " rank " << r.rank;
+    EXPECT_EQ(r->op_index, expected) << GetParam() << " rank " << r->rank;
     ++expected;
   }
 }

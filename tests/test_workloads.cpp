@@ -427,11 +427,12 @@ TEST_F(ExecutorFixture, Io500SuitePhaseRangesAlignWithTrace) {
   // their own range and vice versa for pure-metadata phases).
   const auto sorted = cluster->trace_log().sorted_for_job(0);
   std::map<pfs::Rank, std::int64_t> per_rank;
-  for (const auto& r : sorted) per_rank[r.rank] = r.op_index + 1;
+  for (const trace::OpRecord* r : sorted) per_rank[r->rank] = r->op_index + 1;
   for (const auto& [rank, count] : per_rank) EXPECT_EQ(count, cursor) << rank;
 
   const auto& names = io500_tasks();
-  for (const auto& r : sorted) {
+  for (const trace::OpRecord* rec : sorted) {
+    const trace::OpRecord& r = *rec;
     int phase = -1;
     for (std::size_t pi = 0; pi < ranges.size(); ++pi) {
       if (r.op_index >= ranges[pi].first && r.op_index < ranges[pi].second) {
