@@ -128,7 +128,9 @@ TEST(EngineAllocations, LaneWindowLoopIsAllocationFreeInSteadyState) {
   // warm-up (outbox capacity, slot slabs, per-context counters) a steady
   // round must not allocate.
   LaneGroup lanes(2, /*lookahead=*/100);
-  int fired = 0;
+  // Lane 0 runs on the driver thread and lane 1 on its worker, concurrently
+  // within a window, so the shared counter must be atomic.
+  std::atomic<int> fired{0};
   auto round = [&](int n) {
     for (int i = 0; i < n; ++i) {
       for (int src = 0; src < 2; ++src) {
@@ -149,7 +151,7 @@ TEST(EngineAllocations, LaneWindowLoopIsAllocationFreeInSteadyState) {
   const AllocWindow w;
   round(64);
   EXPECT_EQ(w.count(), 0u) << "lane window loop allocated in steady state";
-  EXPECT_EQ(fired, 2 * 2 * 128);
+  EXPECT_EQ(fired.load(), 2 * 2 * 128);
 }
 
 TEST(EngineAllocations, PipeDeliveriesAreAllocationFreeInSteadyState) {
