@@ -4,7 +4,7 @@
 //
 // Builds an IO500 training campaign, trains both the binary and the
 // 3-class model, persists the binary bundle (network + standardizer) to a
-// file, reloads it into a fresh TrainingServer and verifies the reloaded
+// .qifm model file, reloads it into a fresh TrainingServer and verifies the reloaded
 // model reproduces the original predictions — the workflow a site would
 // use to train once and deploy the model on its monitoring host.
 #include <cstdio>
@@ -18,7 +18,7 @@
 using namespace qif;
 
 int main(int argc, char** argv) {
-  const char* path = argc > 1 ? argv[1] : "qif_model.txt";
+  const char* path = argc > 1 ? argv[1] : "qif_model.qifm";
   const double richness = argc > 2 ? std::atof(argv[2]) : 1.0;
 
   std::printf("collecting IO500 campaign (richness %.1f)...\n", richness);
@@ -50,12 +50,12 @@ int main(int argc, char** argv) {
 
   // Persist and reload the binary bundle.
   {
-    std::ofstream out(path);
+    std::ofstream out(path, std::ios::binary);
     server.save(out);
   }
   core::TrainingServer reloaded(core::TrainingServerConfig{});
   {
-    std::ifstream in(path);
+    std::ifstream in(path, std::ios::binary);
     reloaded.load(in);
   }
   std::size_t agree = 0;

@@ -3,7 +3,8 @@
 # under ThreadSanitizer to catch data races in the qif::exec thread pool,
 # the parallel campaign runner, and the thread-parallel GEMM path, and an
 # AddressSanitizer leg over the .qds corruption-fuzz and reader tests so
-# hostile bytes can never turn into a silent out-of-bounds read, and an
+# hostile bytes can never turn into a silent out-of-bounds read (the same
+# leg fuzzes the .qifm model parser and the trainer's width checks), and an
 # UndefinedBehaviorSanitizer leg over the trace-storage tests.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -68,14 +69,20 @@ echo "=== tier-1: .qds/.qwp corruption fuzz under ASan ==="
 # test_qwp flips/truncates every byte of a serialized workload program and
 # test_replay parses crafted DXT dumps — the two text-IR parsers must turn
 # hostile bytes into clean errors, never out-of-bounds reads.
+# test_serve_registry truncates, bit-flips and forges headers of the .qifm
+# model file — the only model parser that reads outside bytes — and
+# test_ml_trainer evaluates models on rows of the wrong width, which used
+# to read past every row.
 cmake -B build-asan -S . -DQIF_SANITIZE=address
 cmake --build build-asan -j --target test_qds_fuzz test_export test_streaming \
-  test_qwp test_replay test_trace
+  test_qwp test_replay test_trace test_serve_registry test_ml_trainer
 ./build-asan/tests/test_qds_fuzz
 ./build-asan/tests/test_export
 ./build-asan/tests/test_streaming
 ./build-asan/tests/test_qwp
 ./build-asan/tests/test_replay
+./build-asan/tests/test_serve_registry
+./build-asan/tests/test_ml_trainer
 # A scenario's trace is handed out by move while the client monitor that
 # observed it dies with the run's stack frame: recording into the returned
 # trace must never call back into it (ASan sees the dead frame only with

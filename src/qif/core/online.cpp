@@ -22,10 +22,7 @@ OnlinePredictor::OnlinePredictor(pfs::Cluster& cluster, const TrainingServer& se
   // Deployment snapshot: the serving bundle this predictor will run, with
   // the width check a real deployment would do (a 40-wide fault-features
   // model must not silently misread a 37-wide live stream).
-  model_.kind = serve::ServingModel::Kind::kKernel;
-  model_.kernel = server.net();
-  model_.stdz = server.standardizer();
-  model_.n_classes = server.config().n_classes;
+  model_ = server.model();
   model_.validate_feature_width(assembler_.dim());
   features_.resize(model_.feature_dim());
   history_.reserve(config_.history_capacity);

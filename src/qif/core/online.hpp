@@ -8,8 +8,8 @@
 // closed window it assembles the per-server vectors and publishes a
 // prediction (class, probabilities, per-server kernel scores) to a user
 // callback — the hook an adaptive I/O middleware or scheduler would
-// consume.  Construction snapshots the TrainingServer's bundle into a
-// serve::ServingModel, and every window runs through
+// consume.  Construction copies the TrainingServer's serve::ServingModel,
+// and every window runs through
 // serve::predict_batch with one request: the single-cluster deployment
 // is literally the serving layer's N=1 case, so its predictions are
 // bit-identical to what `qif serve` computes for the same features.

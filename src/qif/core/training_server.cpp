@@ -1,7 +1,5 @@
 #include "qif/core/training_server.hpp"
 
-#include <istream>
-#include <ostream>
 #include <stdexcept>
 
 namespace qif::core {
@@ -21,79 +19,39 @@ ml::TrainResult TrainingServer::fit_rows(const monitor::RowAccess& rows) {
   net_cfg.kernel_hidden = config_.kernel_hidden;
   net_cfg.head_hidden = config_.head_hidden;
   net_cfg.seed = config_.seed;
-  net_ = ml::KernelNet(net_cfg);
+  model_.kernel = ml::KernelNet(net_cfg);
+  model_.n_classes = config_.n_classes;
 
   ml::TrainConfig tc = config_.train;
   tc.seed = sim::Rng::derive_seed(config_.seed, "train");
   const ml::Trainer trainer(tc);
-  return trainer.train_rows(net_, stdz_, rows);
+  return trainer.train_rows(model_.kernel, model_.stdz, rows);
 }
 
 ml::ConfusionMatrix TrainingServer::evaluate(const monitor::TableView& test_ds) const {
-  return ml::Trainer::evaluate(net_, stdz_, test_ds);
+  return ml::Trainer::evaluate(model_.kernel, model_.stdz, test_ds);
 }
 
 ml::ConfusionMatrix TrainingServer::evaluate_rows(const monitor::RowAccess& rows) const {
-  return ml::Trainer::evaluate_rows(net_, stdz_, rows);
+  return ml::Trainer::evaluate_rows(model_.kernel, model_.stdz, rows);
 }
 
 int TrainingServer::predict(std::vector<double> features) const {
-  stdz_.transform(features);
-  return net_.predict(ml::MatView(features.data(), 1, features.size()))[0];
+  model_.stdz.transform(features);
+  return model_.kernel.predict(ml::MatView(features.data(), 1, features.size()))[0];
 }
 
-std::vector<double> TrainingServer::predict_proba(std::vector<double> features) const {
-  stdz_.transform(features);
-  const ml::Matrix p = ml::SoftmaxXent::softmax(
-      net_.forward_inference(ml::MatView(features.data(), 1, features.size())));
-  return {p.row(0), p.row(0) + p.cols()};
-}
-
-std::vector<double> TrainingServer::server_scores(std::vector<double> features) const {
-  stdz_.transform(features);
-  return net_.server_scores(features);
-}
-
-void TrainingServer::save(std::ostream& os) const {
-  os << "qif-model 1\n" << config_.n_classes << '\n';
-  net_.save(os);
-  stdz_.save(os);
-}
-
-void TrainingServer::validate_feature_width(int schema_dim) const {
-  if (schema_dim != 0 && net_.config().per_server_dim != schema_dim) {
-    throw std::runtime_error(
-        "model/schema feature-width mismatch: model has " +
-        std::to_string(net_.config().per_server_dim) +
-        " features per server, serving schema has " + std::to_string(schema_dim));
-  }
-}
+void TrainingServer::save(std::ostream& os) const { serve::save_model(model_, os); }
 
 void TrainingServer::load(std::istream& is, int expected_dim) {
-  std::string magic;
-  int version = 0;
-  if (!(is >> magic >> version) || magic != "qif-model") {
-    throw std::runtime_error("not a qif model bundle");
-  }
-  // Parse into locals first: a rejected bundle (parse error OR width
-  // mismatch) must leave the currently deployed model untouched.
-  int n_classes = 0;
-  if (!(is >> n_classes) || n_classes < 2) {
-    throw std::runtime_error("model bundle: bad class count");
-  }
-  ml::KernelNet net;
-  ml::Standardizer stdz;
-  net.load(is);
-  stdz.load(is);
-  if (expected_dim != 0 && net.config().per_server_dim != expected_dim) {
+  serve::ServingModel model = serve::load_model(is);
+  if (model.kind != serve::ServingModel::Kind::kKernel) {
     throw std::runtime_error(
-        "model/schema feature-width mismatch: model has " +
-        std::to_string(net.config().per_server_dim) +
-        " features per server, serving schema has " + std::to_string(expected_dim));
+        "model bundle is an attention model; the training server holds kernel models");
   }
-  config_.n_classes = n_classes;
-  net_ = std::move(net);
-  stdz_ = std::move(stdz);
+  model.validate_feature_width(expected_dim);
+  config_.n_classes = model.n_classes;
+  model_ = std::move(model);
 }
 
 }  // namespace qif::core

@@ -1,11 +1,12 @@
 // Training server (paper §III-C): owns the model bundle — the kernel-based
-// network plus the fitted standardizer — trains it offline on a labelled
-// dataset, and serves predictions afterwards.
+// network plus the fitted standardizer, held as one serve::ServingModel —
+// trains it offline on a labelled dataset, and serves predictions
+// afterwards.  The bundle it saves is the .qifm file the serving registry
+// deploys.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
-#include <string>
 #include <vector>
 
 #include "qif/ml/kernel_net.hpp"
@@ -13,6 +14,7 @@
 #include "qif/ml/preprocess.hpp"
 #include "qif/ml/trainer.hpp"
 #include "qif/monitor/features.hpp"
+#include "qif/serve/registry.hpp"
 
 namespace qif::core {
 
@@ -48,31 +50,25 @@ class TrainingServer {
 
   /// Class prediction for one window's flattened features.
   [[nodiscard]] int predict(std::vector<double> features) const;
-  /// Softmax probabilities for one window's flattened features.
-  [[nodiscard]] std::vector<double> predict_proba(std::vector<double> features) const;
-  /// Per-server kernel scores (which server the model attributes pressure to).
-  [[nodiscard]] std::vector<double> server_scores(std::vector<double> features) const;
 
-  [[nodiscard]] const ml::KernelNet& net() const { return net_; }
-  [[nodiscard]] const ml::Standardizer& standardizer() const { return stdz_; }
+  /// The trained bundle (kernel kind), ready to publish or deploy.
+  [[nodiscard]] const serve::ServingModel& model() const { return model_; }
+  [[nodiscard]] const ml::KernelNet& net() const { return model_.kernel; }
+  [[nodiscard]] const ml::Standardizer& standardizer() const { return model_.stdz; }
   [[nodiscard]] const TrainingServerConfig& config() const { return config_; }
 
-  /// Deployment guard: throws std::runtime_error naming both widths when
-  /// the loaded model's per-server feature width disagrees with the
-  /// serving schema's (e.g. a 40-wide fault-features model against the
-  /// 37-wide healthy layout).  `schema_dim == 0` disables the check.
-  void validate_feature_width(int schema_dim) const;
-
+  /// Writes the bundle as a .qifm image (serve::save_model).
   void save(std::ostream& os) const;
-  /// Parses a "qif-model 1" bundle.  `expected_dim`, when nonzero, runs
-  /// validate_feature_width on the result before accepting it — a width
-  /// mismatch throws and leaves this object unchanged.
+  /// Reads a .qifm image (serve::load_model).  Throws std::runtime_error on
+  /// a corrupt file, an attention bundle, or — when `expected_dim` is
+  /// nonzero — a per-server width other than `expected_dim`
+  /// (ServingModel::validate_feature_width).  A rejected file leaves this
+  /// object unchanged.
   void load(std::istream& is, int expected_dim = 0);
 
  private:
   TrainingServerConfig config_;
-  ml::KernelNet net_;
-  ml::Standardizer stdz_;
+  serve::ServingModel model_;
 };
 
 }  // namespace qif::core

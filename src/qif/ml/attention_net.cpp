@@ -1,8 +1,6 @@
 #include "qif/ml/attention_net.hpp"
 
 #include <cassert>
-#include <istream>
-#include <ostream>
 #include <stdexcept>
 
 namespace qif::ml {
@@ -232,47 +230,6 @@ void AttentionNet::restore(const std::vector<double>& snap) {
     l.restore_from(src);
     src += l.param_count();
   }
-}
-
-void AttentionNet::save(std::ostream& os) const {
-  os << "attentionnet 1\n";
-  os << config_.per_server_dim << ' ' << config_.n_servers << ' ' << config_.n_classes
-     << ' ' << config_.embed_dim << ' ' << config_.attention_dim << '\n';
-  os << config_.head_hidden.size();
-  for (const int h : config_.head_hidden) os << ' ' << h;
-  os << '\n';
-  embed_.save(os);
-  attn_hidden_.save(os);
-  attn_score_.save(os);
-  for (const auto& l : head_layers_) l.save(os);
-}
-
-void AttentionNet::load(std::istream& is) {
-  std::string magic;
-  int version = 0;
-  if (!(is >> magic >> version) || magic != "attentionnet") {
-    throw std::runtime_error("attentionnet load: bad header");
-  }
-  AttentionNetConfig cfg;
-  if (!(is >> cfg.per_server_dim >> cfg.n_servers >> cfg.n_classes >> cfg.embed_dim >>
-        cfg.attention_dim)) {
-    throw std::runtime_error("attentionnet load: truncated dimensions");
-  }
-  std::size_t nh = 0;
-  if (!(is >> nh) || nh > 1024) {
-    throw std::runtime_error("attentionnet load: truncated head sizes");
-  }
-  cfg.head_hidden.resize(nh);
-  for (auto& h : cfg.head_hidden) {
-    if (!(is >> h)) throw std::runtime_error("attentionnet load: truncated head sizes");
-  }
-  exec::ThreadPool* pool = pool_;  // survive the reconstruction below
-  *this = AttentionNet(cfg);
-  pool_ = pool;
-  embed_.load(is);
-  attn_hidden_.load(is);
-  attn_score_.load(is);
-  for (auto& l : head_layers_) l.load(is);
 }
 
 }  // namespace qif::ml

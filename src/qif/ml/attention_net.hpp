@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <vector>
 
 #include "qif/ml/nn.hpp"
@@ -83,9 +82,6 @@ class AttentionNet {
   void snapshot_into(std::vector<double>& out) const;
   [[nodiscard]] std::vector<double> snapshot() const;
   void restore(const std::vector<double>& snap);
-
-  void save(std::ostream& os) const;
-  void load(std::istream& is);
 
  private:
   struct ForwardState {

@@ -1,8 +1,6 @@
 #include "qif/ml/kernel_net.hpp"
 
 #include <cassert>
-#include <istream>
-#include <ostream>
 #include <stdexcept>
 
 namespace qif::ml {
@@ -197,51 +195,6 @@ void KernelNet::restore(const std::vector<double>& snap) {
     l.restore_from(src);
     src += l.param_count();
   }
-}
-
-void KernelNet::save(std::ostream& os) const {
-  os << "kernelnet 1\n";
-  os << config_.per_server_dim << ' ' << config_.n_servers << ' ' << config_.n_classes
-     << '\n';
-  os << config_.kernel_hidden.size();
-  for (const int h : config_.kernel_hidden) os << ' ' << h;
-  os << '\n' << config_.head_hidden.size();
-  for (const int h : config_.head_hidden) os << ' ' << h;
-  os << '\n';
-  for (const auto& l : kernel_layers_) l.save(os);
-  for (const auto& l : head_layers_) l.save(os);
-}
-
-void KernelNet::load(std::istream& is) {
-  std::string magic;
-  int version = 0;
-  if (!(is >> magic >> version) || magic != "kernelnet") {
-    throw std::runtime_error("kernelnet load: bad header");
-  }
-  KernelNetConfig cfg;
-  if (!(is >> cfg.per_server_dim >> cfg.n_servers >> cfg.n_classes)) {
-    throw std::runtime_error("kernelnet load: truncated dimensions");
-  }
-  std::size_t nk = 0, nh = 0;
-  if (!(is >> nk) || nk > 1024) {
-    throw std::runtime_error("kernelnet load: truncated kernel sizes");
-  }
-  cfg.kernel_hidden.resize(nk);
-  for (auto& h : cfg.kernel_hidden) {
-    if (!(is >> h)) throw std::runtime_error("kernelnet load: truncated kernel sizes");
-  }
-  if (!(is >> nh) || nh > 1024) {
-    throw std::runtime_error("kernelnet load: truncated head sizes");
-  }
-  cfg.head_hidden.resize(nh);
-  for (auto& h : cfg.head_hidden) {
-    if (!(is >> h)) throw std::runtime_error("kernelnet load: truncated head sizes");
-  }
-  exec::ThreadPool* pool = pool_;  // survive the reconstruction below
-  *this = KernelNet(cfg);
-  pool_ = pool;
-  for (auto& l : kernel_layers_) l.load(is);
-  for (auto& l : head_layers_) l.load(is);
 }
 
 }  // namespace qif::ml

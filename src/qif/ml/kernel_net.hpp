@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -86,17 +85,14 @@ class KernelNet {
   /// Total learnable parameter count across every layer.
   [[nodiscard]] std::size_t param_count() const;
   /// Binary in-memory weight snapshot: raw doubles, kernel layers then
-  /// head layers, each layer W row-major then b.  ~100x cheaper than the
-  /// text save/load round trip and bit-exact by construction; used by
-  /// early stopping.  The text save()/load() remains the on-disk format.
+  /// head layers, each layer W row-major then b.  Bit-exact by
+  /// construction; used by early stopping, and it is the weight block of
+  /// the .qifm model file (serve::save_model / load_model).
   void snapshot_into(std::vector<double>& out) const;
   [[nodiscard]] std::vector<double> snapshot() const;
   /// Restores weights from a snapshot of a same-architecture net.
   /// Throws std::invalid_argument on size mismatch.
   void restore(const std::vector<double>& snap);
-
-  void save(std::ostream& os) const;
-  void load(std::istream& is);
 
  private:
   [[nodiscard]] const Matrix& kernel_forward(MatView xk);

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <istream>
-#include <ostream>
 #include <stdexcept>
 
 #include "qif/ml/gemm.hpp"
@@ -101,36 +99,6 @@ void Dense::snapshot_to(double* dst) const {
 void Dense::restore_from(const double* src) {
   std::copy(src, src + w_.size(), w_.data().begin());
   std::copy(src + w_.size(), src + w_.size() + b_.size(), b_.begin());
-}
-
-void Dense::save(std::ostream& os) const {
-  // max_digits10 so weights survive the text round trip bit-exactly.
-  os.precision(17);
-  os << w_.rows() << ' ' << w_.cols() << '\n';
-  for (const double v : w_.data()) os << v << ' ';
-  os << '\n';
-  for (const double v : b_) os << v << ' ';
-  os << '\n';
-}
-
-void Dense::load(std::istream& is) {
-  std::size_t in = 0, out = 0;
-  if (!(is >> in >> out)) throw std::runtime_error("dense load: bad layer shape");
-  *this = Dense();
-  w_ = Matrix(in, out);
-  b_.assign(out, 0.0);
-  dw_ = Matrix(in, out);
-  db_.assign(out, 0.0);
-  mw_ = Matrix(in, out);
-  vw_ = Matrix(in, out);
-  mb_.assign(out, 0.0);
-  vb_.assign(out, 0.0);
-  for (double& v : w_.data()) {
-    if (!(is >> v)) throw std::runtime_error("dense load: truncated weights");
-  }
-  for (double& v : b_) {
-    if (!(is >> v)) throw std::runtime_error("dense load: truncated biases");
-  }
 }
 
 const Matrix& ReLU::forward(MatView x) {

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <vector>
 
 #include "qif/ml/matrix.hpp"
@@ -71,9 +70,6 @@ class Dense {
   void snapshot_to(double* dst) const;
   /// Restores W then b from `src` (param_count() doubles).
   void restore_from(const double* src);
-
-  void save(std::ostream& os) const;
-  void load(std::istream& is);
 
  private:
   Matrix w_;               // (in, out)

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <istream>
-#include <ostream>
 #include <stdexcept>
 
 #include "qif/sim/rng.hpp"
@@ -75,30 +73,6 @@ void Standardizer::transform_into(const double* src, std::size_t n, double* dst)
     for (std::size_t j = 0; j < d; ++j) {
       dst[off + j] = (src[off + j] - mean_[j]) * inv_std_[j];
     }
-  }
-}
-
-void Standardizer::save(std::ostream& os) const {
-  os.precision(17);
-  os << mean_.size() << '\n';
-  for (const double v : mean_) os << v << ' ';
-  os << '\n';
-  for (const double v : inv_std_) os << v << ' ';
-  os << '\n';
-}
-
-void Standardizer::load(std::istream& is) {
-  // Every extraction is checked: a truncated or corrupted model file must
-  // fail loudly, not silently yield a garbage standardizer.
-  std::size_t d = 0;
-  if (!(is >> d)) throw std::runtime_error("standardizer load: bad dimension");
-  mean_.resize(d);
-  inv_std_.resize(d);
-  for (double& v : mean_) {
-    if (!(is >> v)) throw std::runtime_error("standardizer load: truncated means");
-  }
-  for (double& v : inv_std_) {
-    if (!(is >> v)) throw std::runtime_error("standardizer load: truncated scales");
   }
 }
 

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <utility>
 #include <vector>
 
@@ -47,10 +46,6 @@ class Standardizer {
   /// mismatch between the two vectors.
   [[nodiscard]] static Standardizer from_moments(std::vector<double> mean,
                                                  std::vector<double> inv_std);
-
-  void save(std::ostream& os) const;
-  /// Throws std::runtime_error if the stream is truncated or corrupted.
-  void load(std::istream& is);
 
  private:
   std::vector<double> mean_;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "qif/exec/thread_pool.hpp"
 #include "qif/sim/rng.hpp"
@@ -31,6 +33,22 @@ void gather_batch_into(const monitor::RowAccess& rows, const Standardizer& stdz,
       std::copy(src, src + width, xb.row(k - lo));
     }
     yb[k - lo] = rows.label(src_row);
+  }
+}
+
+/// Throws naming both shapes when evaluation rows do not have the net's
+/// server count and per-server width, or the standardizer's width:
+/// gathering them would read past each row and the standardizer moments.
+void check_eval_shape(const KernelNet& net, const Standardizer& stdz,
+                      const monitor::RowAccess& rows) {
+  const KernelNetConfig& c = net.config();
+  if (rows.n_servers() != c.n_servers || rows.dim() != c.per_server_dim ||
+      (stdz.fitted() && stdz.dim() != rows.dim())) {
+    throw std::invalid_argument(
+        "evaluate: rows have " + std::to_string(rows.n_servers()) + " servers x " +
+        std::to_string(rows.dim()) + " features, the model expects " +
+        std::to_string(c.n_servers) + " x " + std::to_string(c.per_server_dim) +
+        " (standardizer width " + std::to_string(stdz.dim()) + ")");
   }
 }
 
@@ -162,18 +180,14 @@ TrainResult Trainer::train_rows(KernelNet& net, Standardizer& stdz,
 
 ConfusionMatrix Trainer::evaluate(const KernelNet& net, const Standardizer& stdz,
                                   const monitor::TableView& test) {
-  ConfusionMatrix cm(net.config().n_classes);
-  if (test.empty()) return cm;
-  Matrix x;
-  std::vector<int> y;
-  gather_standardized(test, &stdz, x, y);
-  cm.add_all(y, net.predict(x));
-  return cm;
+  return evaluate_rows(net, stdz, monitor::ViewRows(test));
 }
 
 ConfusionMatrix Trainer::evaluate_rows(const KernelNet& net, const Standardizer& stdz,
                                        const monitor::RowAccess& rows) {
   ConfusionMatrix cm(net.config().n_classes);
+  if (rows.empty()) return cm;
+  check_eval_shape(net, stdz, rows);
   constexpr std::size_t kChunk = 1024;  // bounds the gather, not the math:
   // per-row predictions are independent of the chunking.
   Matrix x;

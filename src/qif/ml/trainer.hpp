@@ -64,6 +64,9 @@ class Trainer {
                          const monitor::RowAccess& rows) const;
 
   /// Evaluates a trained net on a view, returning its confusion matrix.
+  /// Both evaluate calls throw std::invalid_argument, naming both shapes,
+  /// when the rows' server count or per-server width differs from the
+  /// net's or the standardizer's.
   static ConfusionMatrix evaluate(const KernelNet& net, const Standardizer& stdz,
                                   const monitor::TableView& test);
 

@@ -290,22 +290,6 @@ ServingModel load_model(std::istream& is) {
   return model;
 }
 
-ServingModel import_text_model(std::istream& is) {
-  std::string magic;
-  int version = 0;
-  if (!(is >> magic >> version) || magic != "qif-model") {
-    throw std::runtime_error("not a qif model bundle");
-  }
-  ServingModel model;
-  if (!(is >> model.n_classes) || model.n_classes < 2) {
-    throw std::runtime_error("model bundle: bad class count");
-  }
-  model.kind = ServingModel::Kind::kKernel;
-  model.kernel.load(is);
-  model.stdz.load(is);
-  return model;
-}
-
 ModelRegistry::ModelRegistry(std::string dir, int schema_dim)
     : dir_(std::move(dir)), schema_dim_(schema_dim) {}
 

@@ -8,13 +8,11 @@
 // with and a swap is never torn — requests in one batch all carry the
 // same model version by construction (pinned by the hot-swap tests).
 //
-// On-disk formats:
-//   * v<N>.qifm — binary, checksummed (save_model / load_model below).
-//     Truncation, bit flips, and hostile headers are rejected before any
-//     size-driven allocation (same discipline as the .qds fuzz suite).
-//   * the text "qif-model 1" bundle written by TrainingServer::save —
-//     import_text_model() parses it here so the serving layer stays below
-//     qif_core in the link order (core's OnlinePredictor builds on serve).
+// On-disk format: the binary, checksummed .qifm image (save_model /
+// load_model below) is the only model file — `qif train` writes it and
+// the registry stores it as v<N>.qifm.  Truncation, bit flips, and
+// hostile headers are rejected before any size-driven allocation (same
+// discipline as the .qds fuzz suite).
 #pragma once
 
 #include <cstdint>
@@ -61,9 +59,6 @@ void save_model(const ServingModel& model, std::ostream& os);
 /// checksum mismatch, or a hostile header (every size field is bounded
 /// before it drives an allocation).
 [[nodiscard]] ServingModel load_model(std::istream& is);
-
-/// Parses the text "qif-model 1" bundle written by TrainingServer::save.
-[[nodiscard]] ServingModel import_text_model(std::istream& is);
 
 /// Directory-backed registry of versioned models (v<N>.qifm) plus the
 /// atomically swappable live bundle.

@@ -1,10 +1,23 @@
-# Drives the qif CLI through a full campaign -> train -> eval round trip.
+# Drives the qif CLI through a full campaign -> train -> eval -> publish ->
+# serve round trip, then checks that bad output paths, partial writes,
+# malformed numeric options and mismatched models fail with exit 1 and an
+# error naming the culprit.
 file(MAKE_DIRECTORY ${WORK_DIR})
 function(run)
   execute_process(COMMAND ${ARGV} WORKING_DIRECTORY ${WORK_DIR}
                   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
   if(NOT rc EQUAL 0)
     message(FATAL_ERROR "command failed (${rc}): ${ARGV}\n${out}\n${err}")
+  endif()
+endfunction()
+function(run_fail_matching pattern)
+  execute_process(COMMAND ${ARGN} WORKING_DIRECTORY ${WORK_DIR}
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 1)
+    message(FATAL_ERROR "expected exit 1, got ${rc}: ${ARGN}\n${out}\n${err}")
+  endif()
+  if(NOT "${err}" MATCHES "${pattern}")
+    message(FATAL_ERROR "error lacks '${pattern}': ${ARGN}\n${err}")
   endif()
 endfunction()
 run(${QIF_CLI} run mdt-easy-write --noise ior-easy-write --instances 4 --scale 0.5)
@@ -16,11 +29,45 @@ if(NOT EXISTS ${WORK_DIR}/shards/amrex.qdm)
   message(FATAL_ERROR "campaign --stream-out did not seal a manifest")
 endif()
 run(${QIF_CLI} dataset info shards/amrex.qdm)
-run(${QIF_CLI} train --data data.csv --out model.txt --epochs 20)
-run(${QIF_CLI} eval --data data.csv --model model.txt)
-# The streamed manifest feeds the chunked trainer directly.
-run(${QIF_CLI} eval --data shards/amrex.qdm --model model.txt)
+# The .qifm model file is byte-identical across --jobs counts and between
+# the in-RAM (CSV) and streaming (manifest) training paths.
+run(${QIF_CLI} train --data data.csv --out model.qifm --epochs 20)
+run(${QIF_CLI} train --data data.csv --out model_j2.qifm --epochs 20 --jobs 2)
+run(${QIF_CLI} train --data shards/amrex.qdm --out model_qdm.qifm --epochs 20)
+run(${CMAKE_COMMAND} -E compare_files model.qifm model_j2.qifm)
+run(${CMAKE_COMMAND} -E compare_files model.qifm model_qdm.qifm)
+run(${QIF_CLI} eval --data data.csv --model model.qifm)
+# The streamed manifest feeds the chunked evaluator directly.
+run(${QIF_CLI} eval --data shards/amrex.qdm --model model.qifm)
+# The trained file is what the registry deploys.
+run(${QIF_CLI} serve publish --model model.qifm --model-dir registry)
+run(${QIF_CLI} serve verify --model-dir registry --requests 200)
 run(${QIF_CLI} dump-trace openpmd --scale 0.5 --out trace.dxt)
-if(NOT EXISTS ${WORK_DIR}/model.txt OR NOT EXISTS ${WORK_DIR}/trace.dxt)
+if(NOT EXISTS ${WORK_DIR}/registry/v1.qifm OR NOT EXISTS ${WORK_DIR}/trace.dxt)
   message(FATAL_ERROR "CLI round trip did not produce its artifacts")
 endif()
+
+# Output files that cannot be opened or fully written are errors.
+run_fail_matching("no_such_dir/m.qifm"
+  ${QIF_CLI} train --data data.csv --out no_such_dir/m.qifm --epochs 1)
+run_fail_matching("no_such_dir/t.dxt"
+  ${QIF_CLI} dump-trace openpmd --scale 0.5 --out no_such_dir/t.dxt)
+if(EXISTS /dev/full)
+  run_fail_matching("/dev/full" ${QIF_CLI} train --data data.csv --out /dev/full --epochs 1)
+  run_fail_matching("/dev/full" ${QIF_CLI} dump-trace openpmd --scale 0.5 --out /dev/full)
+endif()
+# Numeric option values parse in full.
+run_fail_matching("--jobs.*two"
+  ${QIF_CLI} train --data data.csv --out bad.qifm --jobs two)
+run_fail_matching("--richness.*abc" ${QIF_CLI} campaign amrex --richness abc --out bad.csv)
+# A file that is not a model reports its path.
+run_fail_matching("data.csv" ${QIF_CLI} eval --data data.csv --model data.csv)
+# A model trained on fault features (7 x 40) refuses a healthy dataset
+# (7 x 37) instead of reading past its rows.
+run(${QIF_CLI} campaign amrex --richness 0.5 --faults slow:ost=0,start=2,dur=10,factor=4
+    --out faulted.csv)
+run(${QIF_CLI} train --data faulted.csv --out faulted.qifm --epochs 2)
+run_fail_matching("37 features.*7 x 40"
+  ${QIF_CLI} eval --data data.csv --model faulted.qifm)
+run_fail_matching("37 features.*7 x 40"
+  ${QIF_CLI} eval --data shards/amrex.qdm --model faulted.qifm)

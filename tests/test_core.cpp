@@ -12,6 +12,7 @@
 #include "qif/core/report.hpp"
 #include "qif/core/training_server.hpp"
 #include "qif/ml/preprocess.hpp"
+#include "qif/serve/batcher.hpp"
 
 namespace qif::core {
 namespace {
@@ -225,14 +226,21 @@ TEST(TrainingServer, FitPredictEvaluate) {
   const ml::ConfusionMatrix cm = server.evaluate(test);
   EXPECT_GT(cm.accuracy(), 0.7);
 
-  // Single-sample prediction API agrees with batch evaluation.
+  // Single-sample prediction agrees with the serving path on the same
+  // bundle, which also yields the probabilities and per-server scores.
   const std::vector<double> features = test.row_vector(0);
-  const int pred = server.predict(features);
-  const auto proba = server.predict_proba(features);
+  serve::Request request;
+  request.features = features.data();
+  request.n_features = features.size();
+  serve::Request* rp = &request;
+  serve::PredictScratch scratch;
+  serve::predict_batch(server.model(), &rp, 1, scratch);
+  const auto& proba = request.probabilities;
   ASSERT_EQ(proba.size(), 2u);
   EXPECT_NEAR(proba[0] + proba[1], 1.0, 1e-9);
-  EXPECT_EQ(pred, proba[1] > proba[0] ? 1 : 0);
-  EXPECT_EQ(server.server_scores(features).size(), 7u);
+  EXPECT_EQ(server.predict(features), request.predicted_class);
+  EXPECT_EQ(request.predicted_class, proba[1] > proba[0] ? 1 : 0);
+  EXPECT_EQ(request.server_scores.size(), 7u);
 }
 
 TEST(TrainingServer, SaveLoadRoundTripPredictions) {
@@ -270,12 +278,36 @@ TEST(TrainingServer, LoadThrowsOnTruncatedBundle) {
   std::stringstream ss;
   server.save(ss);
   const std::string full = ss.str();
-  // Cutting the bundle anywhere after the header must fail loudly.
-  std::stringstream truncated(full.substr(0, full.size() / 2));
+  // Cutting the .qifm anywhere must fail loudly and keep the old model.
   TrainingServer loaded(TrainingServerConfig{});
-  EXPECT_THROW(loaded.load(truncated), std::runtime_error);
+  for (const std::size_t len : {std::size_t{0}, full.size() / 2, full.size() - 1}) {
+    std::stringstream truncated(full.substr(0, len));
+    EXPECT_THROW(loaded.load(truncated), std::runtime_error) << "length " << len;
+  }
+  EXPECT_EQ(loaded.net().param_count(), 0u);
   std::stringstream garbage("not-a-model 1\n2\n");
   EXPECT_THROW(loaded.load(garbage), std::runtime_error);
+}
+
+TEST(TrainingServer, LoadRejectsAttentionBundle) {
+  // The training server holds kernel models only; an attention .qifm is a
+  // valid serving bundle but must not load into it.
+  serve::ServingModel attention;
+  attention.kind = serve::ServingModel::Kind::kAttention;
+  attention.attention = ml::AttentionNet(ml::AttentionNetConfig{});
+  const int d = attention.per_server_dim();
+  attention.stdz = ml::Standardizer::from_moments(std::vector<double>(d, 0.0),
+                                                  std::vector<double>(d, 1.0));
+  std::stringstream ss;
+  serve::save_model(attention, ss);
+  TrainingServer server(TrainingServerConfig{});
+  try {
+    server.load(ss);
+    FAIL() << "an attention bundle must be rejected";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("attention model"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(server.net().param_count(), 0u);
 }
 
 TEST(OnlinePredictor, EmitsPredictionEveryWindow) {
@@ -405,8 +437,8 @@ TEST(TrainingServer, LoadRejectsFeatureWidthMismatchNamingBothWidths) {
   }
   EXPECT_EQ(deployed.net().snapshot(), before)
       << "a rejected bundle must leave the deployed model unchanged";
-  EXPECT_NO_THROW(deployed.validate_feature_width(0));
-  EXPECT_THROW(deployed.validate_feature_width(model_dim + 1), std::runtime_error);
+  EXPECT_NO_THROW(deployed.model().validate_feature_width(0));
+  EXPECT_THROW(deployed.model().validate_feature_width(model_dim + 1), std::runtime_error);
 }
 
 TEST(Report, TextTableAlignsColumns) {

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "qif/ml/attention_net.hpp"
+#include "qif/serve/registry.hpp"
 
 namespace qif::ml {
 namespace {
@@ -192,19 +193,23 @@ TEST(AttentionNet, LearnsToAttendToTheInformativeServer) {
 }
 
 TEST(AttentionNet, SaveLoadPreservesPredictions) {
-  AttentionNet net(tiny_config());
+  // The .qifm model file is a net's only on-disk form.
+  serve::ServingModel model;
+  model.kind = serve::ServingModel::Kind::kAttention;
+  model.attention = AttentionNet(tiny_config());
+  model.stdz = Standardizer::from_moments(std::vector<double>(4, 0.0),
+                                          std::vector<double>(4, 1.0));
   sim::Rng rng(7);
   Matrix x(4, 12);
   for (auto& v : x.data()) v = rng.normal(0, 1);
-  const Matrix before = net.forward_inference(x);
+  const Matrix before = model.attention.forward_inference(x);
   std::stringstream ss;
-  net.save(ss);
-  AttentionNet loaded;
-  loaded.load(ss);
+  serve::save_model(model, ss);
+  const AttentionNet loaded = serve::load_model(ss).attention;
   EXPECT_EQ(loaded.config().embed_dim, 8);
   const Matrix after = loaded.forward_inference(x);
   for (std::size_t i = 0; i < before.size(); ++i) {
-    EXPECT_NEAR(after.data()[i], before.data()[i], 1e-9);
+    EXPECT_EQ(after.data()[i], before.data()[i]);
   }
 }
 

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "qif/ml/kernel_net.hpp"
+#include "qif/serve/registry.hpp"
 
 namespace qif::ml {
 namespace {
@@ -19,6 +20,16 @@ KernelNetConfig tiny_config() {
   cfg.head_hidden = {5};
   cfg.seed = 7;
   return cfg;
+}
+
+/// The net inside a model bundle: the .qifm file is a net's only on-disk
+/// form.
+serve::ServingModel tiny_model() {
+  serve::ServingModel model;
+  model.kernel = KernelNet(tiny_config());
+  model.stdz = Standardizer::from_moments(std::vector<double>(4, 0.0),
+                                          std::vector<double>(4, 1.0));
+  return model;
 }
 
 TEST(KernelNet, OutputShape) {
@@ -107,38 +118,36 @@ TEST(KernelNet, LearnsSyntheticInterferenceRule) {
 }
 
 TEST(KernelNet, SaveLoadPreservesPredictions) {
-  KernelNet net(tiny_config());
+  const serve::ServingModel model = tiny_model();
+  const KernelNet& net = model.kernel;
   sim::Rng rng(5);
   Matrix x(4, 12);
   for (auto& v : x.data()) v = rng.normal(0, 1);
   const Matrix before = net.forward_inference(x);
   std::stringstream ss;
-  net.save(ss);
-  KernelNet loaded;
-  loaded.load(ss);
+  serve::save_model(model, ss);
+  const KernelNet loaded = serve::load_model(ss).kernel;
   EXPECT_EQ(loaded.config().n_servers, 3);
   EXPECT_EQ(loaded.config().kernel_hidden, std::vector<int>{6});
   const Matrix after = loaded.forward_inference(x);
   for (std::size_t i = 0; i < before.size(); ++i) {
-    EXPECT_NEAR(after.data()[i], before.data()[i], 1e-9);
+    EXPECT_EQ(after.data()[i], before.data()[i]);
   }
 }
 
 TEST(KernelNet, LoadThrowsOnCorruptOrTruncatedStream) {
   // Regression: load() used to trust the stream, so a bad header or a
   // truncated file produced a silently garbage network.
-  KernelNet net(tiny_config());
   std::stringstream ss;
-  net.save(ss);
+  serve::save_model(tiny_model(), ss);
   const std::string full = ss.str();
 
-  KernelNet loaded;
   std::stringstream bad_magic("notakernelnet 4 3 2\n");
-  EXPECT_THROW(loaded.load(bad_magic), std::runtime_error);
+  EXPECT_THROW((void)serve::load_model(bad_magic), std::runtime_error);
   std::stringstream truncated(full.substr(0, full.size() / 2));
-  EXPECT_THROW(loaded.load(truncated), std::runtime_error);
+  EXPECT_THROW((void)serve::load_model(truncated), std::runtime_error);
   std::stringstream empty("");
-  EXPECT_THROW(loaded.load(empty), std::runtime_error);
+  EXPECT_THROW((void)serve::load_model(empty), std::runtime_error);
 }
 
 TEST(KernelNet, PredictIsArgmaxOfLogits) {
@@ -188,34 +197,8 @@ TEST(KernelNet, SnapshotRestoreIsBitExact) {
   const Matrix restored = net.forward_inference(x);
   ASSERT_EQ(restored.size(), at_snapshot.size());
   for (std::size_t i = 0; i < restored.size(); ++i) {
-    // Bit-exact: binary snapshots never round-trip through text.
+    // Bit-exact: a snapshot copies the raw doubles.
     EXPECT_EQ(restored.data()[i], at_snapshot.data()[i]);
-  }
-}
-
-TEST(KernelNet, SnapshotAgreesWithTextSaveLoad) {
-  KernelNet net(tiny_config());
-  sim::Rng rng(10);
-  Matrix x(3, 12);
-  for (auto& v : x.data()) v = rng.normal(0, 1);
-
-  // Same weights via the text round trip and via snapshot/restore into a
-  // fresh same-architecture net: predictions must agree to text precision.
-  std::stringstream ss;
-  net.save(ss);
-  KernelNet via_text;
-  via_text.load(ss);
-  KernelNet via_snap(tiny_config());
-  via_snap.restore(net.snapshot());
-  const Matrix a = via_text.forward_inference(x);
-  const Matrix b = via_snap.forward_inference(x);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_NEAR(a.data()[i], b.data()[i], 1e-9);
-  }
-  // The snapshot path itself is exact.
-  const Matrix direct = net.forward_inference(x);
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    EXPECT_EQ(b.data()[i], direct.data()[i]);
   }
 }
 

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 
 #include "qif/ml/nn.hpp"
 
@@ -75,20 +74,20 @@ TEST(Dense, AdamStepReducesLoss) {
   EXPECT_LT(last_loss, first_loss * 0.8);
 }
 
-TEST(Dense, SaveLoadRoundTrip) {
+TEST(Dense, SnapshotRestoreRoundTrip) {
   sim::Rng rng(4);
   Dense layer(5, 3, rng);
   Matrix x(2, 5);
   for (auto& v : x.data()) v = rng.normal(0, 1);
   const Matrix before = layer.forward_inference(x);
-  std::stringstream ss;
-  layer.save(ss);
-  Dense loaded;
-  loaded.load(ss);
+  std::vector<double> snap(layer.param_count());
+  layer.snapshot_to(snap.data());
+  Dense loaded(5, 3, rng);  // different init, same shape
+  loaded.restore_from(snap.data());
   const Matrix after = loaded.forward_inference(x);
   ASSERT_EQ(after.size(), before.size());
   for (std::size_t i = 0; i < before.size(); ++i) {
-    EXPECT_NEAR(after.data()[i], before.data()[i], 1e-9);
+    EXPECT_EQ(after.data()[i], before.data()[i]);
   }
 }
 

@@ -2,9 +2,11 @@
 // trainer, and the classification metrics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <set>
-#include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "qif/ml/metrics.hpp"
 #include "qif/ml/preprocess.hpp"
@@ -72,19 +74,17 @@ TEST(Standardizer, ConstantFeaturePassesThrough) {
   EXPECT_NEAR(f[1], 0.0, 1e-9);
 }
 
-TEST(Standardizer, SaveLoadRoundTrip) {
+TEST(Standardizer, FromMomentsRoundTrip) {
+  // from_moments is how a model file restores the fitted statistics.
   const auto ds = synthetic_dataset(100, 2);
   Standardizer a;
   a.fit(ds);
-  std::stringstream ss;
-  a.save(ss);
-  Standardizer b;
-  b.load(ss);
+  const Standardizer b = Standardizer::from_moments(a.mean(), a.inv_std());
   std::vector<double> fa = ds.row_vector(0);
   std::vector<double> fb = fa;
   a.transform(fa);
   b.transform(fb);
-  for (std::size_t i = 0; i < fa.size(); ++i) EXPECT_NEAR(fa[i], fb[i], 1e-12);
+  EXPECT_EQ(fa, fb);
 }
 
 TEST(Standardizer, TransformIntoMatchesTransform) {
@@ -102,23 +102,12 @@ TEST(Standardizer, TransformIntoMatchesTransform) {
   }
 }
 
-TEST(Standardizer, LoadThrowsOnTruncatedOrCorruptStream) {
-  // Regression: load() used to ignore stream state, so a truncated model
-  // file silently yielded a garbage standardizer.
-  const auto ds = synthetic_dataset(100, 7);
-  Standardizer a;
-  a.fit(ds);
-  std::stringstream ss;
-  a.save(ss);
-  const std::string full = ss.str();
-
-  Standardizer b;
-  std::stringstream truncated(full.substr(0, full.size() / 3));
-  EXPECT_THROW(b.load(truncated), std::runtime_error);
-  std::stringstream empty("");
-  EXPECT_THROW(b.load(empty), std::runtime_error);
-  std::stringstream garbage("banana");
-  EXPECT_THROW(b.load(garbage), std::runtime_error);
+TEST(Standardizer, FromMomentsRejectsMismatchedMoments) {
+  // Means and scales of different widths must never build a standardizer
+  // that reads past one of them.
+  EXPECT_THROW((void)Standardizer::from_moments({0.0, 1.0, 2.0}, {1.0, 1.0}),
+               std::invalid_argument);
+  EXPECT_THROW((void)Standardizer::from_moments({}, {1.0}), std::invalid_argument);
 }
 
 TEST(SplitDataset, SmallDatasetKeepsAtLeastOneTrainingSample) {
@@ -335,9 +324,7 @@ TEST(Trainer, ResultIsBitIdenticalAcrossJobCounts) {
     KernelNet net(nc);
     Standardizer stdz;
     const TrainResult result = trainer.train(net, stdz, ds);
-    std::stringstream weights;
-    net.save(weights);
-    return std::make_pair(result, weights.str());
+    return std::make_pair(result, net.snapshot());
   };
 
   const auto [r1, w1] = run(1);
@@ -352,9 +339,48 @@ TEST(Trainer, ResultIsBitIdenticalAcrossJobCounts) {
       EXPECT_EQ(rn.history[e].val_macro_f1, r1.history[e].val_macro_f1)
           << "jobs=" << jobs << " epoch=" << e;
     }
-    // Final weights, via the exact text serialization, match byte for byte.
+    // Final weights match bit for bit.
     EXPECT_EQ(wn, w1) << "jobs=" << jobs;
   }
+}
+
+TEST(Trainer, EvaluateRejectsWidthMismatchNamingBothWidths) {
+  // Regression: a model trained on fault features (7 x 40) evaluated on a
+  // healthy dataset (7 x 37) read past every row and the standardizer's
+  // moments, and printed a garbage confusion matrix.
+  auto fitted = [](const monitor::Dataset& ds) {
+    KernelNetConfig nc;
+    nc.per_server_dim = ds.dim();
+    nc.n_servers = ds.n_servers();
+    Standardizer stdz;
+    stdz.fit(ds);
+    return std::make_pair(KernelNet(nc), stdz);
+  };
+  const auto narrow = synthetic_dataset(8, 3);  // 2 servers x 3 features
+  monitor::Dataset wide(2, 5);
+  monitor::Dataset more_servers(4, 3);
+  for (std::size_t i = 0; i < 8; ++i) {
+    std::fill_n(wide.append_row(static_cast<std::int64_t>(i), 0, 1.0), wide.width(), 1.0);
+    std::fill_n(more_servers.append_row(static_cast<std::int64_t>(i), 0, 1.0),
+                more_servers.width(), 1.0);
+  }
+  const auto [wide_net, wide_stdz] = fitted(wide);
+  try {
+    (void)Trainer::evaluate(wide_net, wide_stdz, narrow);
+    FAIL() << "width mismatch must throw";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("2 servers x 3 features"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("2 x 5"), std::string::npos) << msg;
+  }
+  const auto [net, stdz] = fitted(narrow);
+  const monitor::TableView view(more_servers);
+  EXPECT_THROW((void)Trainer::evaluate_rows(net, stdz, monitor::ViewRows(view)),
+               std::invalid_argument);
+  // A standardizer of another width is refused even when the net matches.
+  EXPECT_THROW((void)Trainer::evaluate(net, wide_stdz, narrow), std::invalid_argument);
+  EXPECT_EQ(Trainer::evaluate(net, stdz, narrow).total(),
+            static_cast<std::int64_t>(narrow.size()));
 }
 
 TEST(ConfusionMatrix, HandComputedMetrics) {

@@ -178,23 +178,6 @@ TEST(ModelFormat, HostileHeaderSizesAreRefusedBeforeAllocation) {
   EXPECT_THROW(load_model(not_qifm), std::runtime_error);
 }
 
-TEST(ModelFormat, TextBundleImportMatchesNetwork) {
-  // The text "qif-model 1" bundle (TrainingServer::save layout) imports
-  // into an equivalent serving bundle.
-  const ServingModel m = tiny_kernel_model(12);
-  std::stringstream text;
-  text << "qif-model 1\n" << m.n_classes << '\n';
-  m.kernel.save(text);
-  m.stdz.save(text);
-  const ServingModel imported = import_text_model(text);
-  EXPECT_EQ(imported.kind, ServingModel::Kind::kKernel);
-  EXPECT_EQ(imported.n_classes, m.n_classes);
-  expect_same_predictions(m, imported);
-
-  std::stringstream garbage("not-a-model 1\n");
-  EXPECT_THROW(import_text_model(garbage), std::runtime_error);
-}
-
 TEST(ModelRegistry, PublishAssignsAscendingVersionsAndRefreshPicksHighest) {
   const std::string dir = fresh_dir("publish");
   ModelRegistry registry(dir, kD);

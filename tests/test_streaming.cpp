@@ -6,8 +6,8 @@
 //     shard/manifest bytes are deterministic;
 //   - a ShardedDataset serves the same rows as the in-RAM table;
 //   - training through the chunked RowAccess path (sharded, mmap'ed, or
-//     budget-capped) produces a model bundle BYTE-identical to the in-RAM
-//     path at the same seed — the refactor moved storage, not math.
+//     budget-capped) produces a .qifm model file BYTE-identical to the
+//     in-RAM path at the same seed — the refactor moved storage, not math.
 // The chunked-trainer thread fan-out test also runs under ThreadSanitizer
 // in scripts/tier1.sh.
 #include <gtest/gtest.h>
@@ -147,7 +147,7 @@ TEST(SubsetRows, ComposesWithSplitRows) {
 }
 
 /// Fits a TrainingServer on `rows` (streaming) or `ds` (in-RAM when rows
-/// is null) and returns the serialized model bundle.
+/// is null) and returns the bytes of its .qifm model file.
 std::string fit_bundle(const Dataset& ds, const RowAccess* rows, int jobs) {
   core::TrainingServerConfig cfg;
   cfg.train.max_epochs = 6;

@@ -43,17 +43,17 @@
 //       DIR/<family>.qdm manifest, and verifies the shards merge back
 //       byte-identically to the in-RAM dataset.
 //
-//   qif train --data data.{csv,qds,qdm} --out model.txt [--classes C]
+//   qif train --data data.{csv,qds,qdm} --out model.qifm [--classes C]
 //             [--epochs E] [--jobs N] [--memory-budget MB]
 //       Train the kernel-based model on a dataset (80/20 split) and save
-//       the bundle; prints the held-out confusion matrix.  --jobs N
-//       partitions the training GEMMs across N worker threads (the model
-//       is bit-identical to --jobs 1).  A .qdm manifest streams its shards
-//       through the chunked ingestion path (same model bytes as in-RAM);
-//       --memory-budget caps resident shard pages in MiB.
+//       it as a .qifm model file; prints the held-out confusion matrix.
+//       --jobs N partitions the training GEMMs across N worker threads
+//       (the .qifm is byte-identical to --jobs 1).  A .qdm manifest
+//       streams its shards through the chunked ingestion path (same model
+//       bytes as in-RAM); --memory-budget caps resident shard pages in MiB.
 //
-//   qif eval --data data.{csv,qds,qdm} --model model.txt
-//       Evaluate a saved bundle on a dataset.
+//   qif eval --data data.{csv,qds,qdm} --model model.qifm
+//       Evaluate a saved model on a dataset.
 //
 //   qif dataset info <file>
 //   qif dataset head <file> [--rows N]
@@ -89,14 +89,14 @@
 //       --swap-every-ms hot-swaps the model under load.  `verify` replays
 //       every batched prediction through the N=1 sync path and asserts
 //       bit-identical outputs (the batching-changes-nothing contract).
-//       `publish` imports a text "qif-model" bundle (qif train output) or
-//       a binary .qifm into the registry as v<N+1>.qifm.  Without a model
-//       a synthetic bundle is generated (--arch kernel|attention,
-//       --classes C, --seed K) so smoke runs need no training step.
+//       `publish` copies a .qifm model (qif train output) into the
+//       registry as v<N+1>.qifm.  Without a model a synthetic bundle is
+//       generated (--arch kernel|attention, --classes C, --seed K) so
+//       smoke runs need no training step.
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <filesystem>
@@ -138,12 +138,25 @@ struct Args {
     return it == options.end() ? dflt : it->second;
   }
   [[nodiscard]] double get_double(const std::string& key, double dflt) const {
-    auto it = options.find(key);
-    return it == options.end() ? dflt : std::atof(it->second.c_str());
+    return get_number(key, dflt);
   }
   [[nodiscard]] int get_int(const std::string& key, int dflt) const {
+    return get_number(key, dflt);
+  }
+
+ private:
+  /// The whole value must parse: `--jobs two` is an error, not 0.
+  template <class T>
+  [[nodiscard]] T get_number(const std::string& key, T dflt) const {
     auto it = options.find(key);
-    return it == options.end() ? dflt : std::atoi(it->second.c_str());
+    if (it == options.end()) return dflt;
+    const std::string& v = it->second;
+    T out{};
+    const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
+    if (ec != std::errc() || end != v.data() + v.size()) {
+      throw std::runtime_error("bad --" + key + " value '" + v + "': not a number");
+    }
+    return out;
   }
 };
 
@@ -196,9 +209,9 @@ int usage() {
                "      family `custom` labels any --workload W (trace:/ckpt:/qwp: too)\n"
                "      --mitigate P runs on-vs-off twins over the same seeds and prints"
                " the comparison\n"
-               "  train --data F.{csv,qds,qdm} --out model.txt [--classes C] [--epochs E]"
+               "  train --data F.{csv,qds,qdm} --out model.qifm [--classes C] [--epochs E]"
                " [--jobs N] [--memory-budget MB]\n"
-               "  eval --data F.{csv,qds,qdm} --model model.txt\n"
+               "  eval --data F.{csv,qds,qdm} --model model.qifm\n"
                "  dataset info|head|convert <file> [out] [--rows N] [--compress]\n"
                "  dataset shard <in> <out-prefix> [--rows-per-shard R | --shards N]"
                " [--compress]\n"
@@ -218,11 +231,37 @@ int usage() {
   return 2;
 }
 
-/// Loads a dataset file, sniffing .qds magic vs CSV.
-monitor::Dataset load_dataset(const std::string& path) {
+/// Opens `path` for reading and returns `read(stream)`; any failure is
+/// rethrown naming the path.
+template <class Read>
+auto read_file(const std::string& path, Read&& read) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("cannot open " + path);
-  return monitor::read_dataset_auto(in);
+  try {
+    return read(in);
+  } catch (const std::exception& e) {
+    throw std::runtime_error(path + ": " + e.what());
+  }
+}
+
+/// Opens `path` for writing and runs `write(stream)`; throws naming the
+/// path unless the file opened and every byte reached it.
+template <class Write>
+void write_file(const std::string& path, Write&& write) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  if (!out) throw std::runtime_error("cannot open " + path + " for writing");
+  try {
+    write(out);
+    out.close();
+  } catch (const std::exception& e) {
+    throw std::runtime_error("cannot write " + path + ": " + e.what());
+  }
+  if (!out) throw std::runtime_error("cannot write " + path);
+}
+
+/// Loads a dataset file, sniffing .qds magic vs CSV.
+monitor::Dataset load_dataset(const std::string& path) {
+  return read_file(path, [](std::istream& in) { return monitor::read_dataset_auto(in); });
 }
 
 /// Sniffs the leading bytes of `path` against a magic predicate.  An
@@ -257,13 +296,13 @@ monitor::QdsWriteOptions qds_options(const Args& args) {
 /// Writes a dataset; the extension picks the format (.qds binary, else CSV).
 void save_dataset(const std::string& path, const monitor::Dataset& ds,
                   const monitor::QdsWriteOptions& opts = {}) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("cannot open " + path + " for writing");
-  if (has_qds_extension(path)) {
-    monitor::write_dataset_qds(out, ds, opts);
-  } else {
-    monitor::write_dataset_csv(out, ds);
-  }
+  write_file(path, [&](std::ostream& out) {
+    if (has_qds_extension(path)) {
+      monitor::write_dataset_qds(out, ds, opts);
+    } else {
+      monitor::write_dataset_csv(out, ds);
+    }
+  });
 }
 
 /// Loads any dataset source into an owned table: a .qdm manifest is
@@ -311,9 +350,7 @@ int cmd_workloads(const Args& args) {
       workloads::write_qwp(os, prog);
       std::printf("%s", os.str().c_str());
     } else {
-      std::ofstream out(out_path, std::ios::binary);
-      if (!out) throw std::runtime_error("cannot open " + out_path + " for writing");
-      workloads::write_qwp(out, prog);
+      write_file(out_path, [&](std::ostream& out) { workloads::write_qwp(out, prog); });
       std::printf("wrote %d-rank program for '%s' to %s\n", n_ranks, name.c_str(),
                   out_path.c_str());
     }
@@ -701,22 +738,17 @@ int cmd_train(const Args& args) {
   std::printf("trained on %zu windows (best epoch %d, val macro-F1 %.3f)\n", n_train,
               tr.best_epoch, tr.best_val_macro_f1);
   std::printf("%s", cm.to_string().c_str());
-  std::ofstream out(args.get("out", ""));
-  server.save(out);
-  std::printf("model saved to %s\n", args.get("out", "").c_str());
+  const std::string out = args.get("out", "");
+  write_file(out, [&](std::ostream& os) { server.save(os); });
+  std::printf("model saved to %s\n", out.c_str());
   return 0;
 }
 
 int cmd_eval(const Args& args) {
   if (args.options.count("data") == 0 || args.options.count("model") == 0) return usage();
-  std::ifstream min(args.get("model", ""));
-  if (!min) {
-    std::fprintf(stderr, "cannot open %s\n", args.get("model", "").c_str());
-    return 1;
-  }
   const std::string data = args.get("data", "");
   core::TrainingServer server(core::TrainingServerConfig{});
-  server.load(min);
+  read_file(args.get("model", ""), [&](std::istream& in) { server.load(in); });
   ml::ConfusionMatrix cm(server.config().n_classes);
   if (is_manifest_file(data)) {
     const monitor::ShardedDataset ds = monitor::ShardedDataset::open(data);
@@ -849,10 +881,9 @@ int cmd_dump_trace(const Args& args) {
   cfg.monitors = false;
   apply_cluster_options(cfg, args);
   const auto res = core::run_scenario(cfg);
-  std::ofstream out(args.get("out", ""));
-  trace::write_dxt(out, res.trace);
-  std::printf("wrote %zu op records to %s\n", res.trace.size(),
-              args.get("out", "").c_str());
+  const std::string out = args.get("out", "");
+  write_file(out, [&](std::ostream& os) { trace::write_dxt(os, res.trace); });
+  std::printf("wrote %zu op records to %s\n", res.trace.size(), out.c_str());
   return 0;
 }
 
@@ -866,22 +897,13 @@ std::int64_t serve_now_ns() {
       .count();
 }
 
-/// Resolves the bundle to serve: an explicit file (binary .qifm sniffed by
-/// magic, otherwise the text "qif-model" bundle `qif train` writes), the
-/// newest valid registry version, or — with neither — a synthetic bundle
-/// so smoke/latency runs need no training step.
+/// Resolves the bundle to serve: an explicit .qifm file (what `qif train`
+/// writes), the newest valid registry version, or — with neither — a
+/// synthetic bundle so smoke/latency runs need no training step.
 serve::ServingModel resolve_serving_model(const Args& args) {
   const std::string path = args.get("model", "");
   if (!path.empty()) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) throw std::runtime_error("cannot open " + path);
-    char magic[4] = {};
-    in.read(magic, sizeof magic);
-    in.seekg(0);
-    if (in.gcount() == 4 && std::memcmp(magic, "QIFM", 4) == 0) {
-      return serve::load_model(in);
-    }
-    return serve::import_text_model(in);
+    return read_file(path, [](std::istream& in) { return serve::load_model(in); });
   }
   const std::string dir = args.get("model-dir", "");
   if (!dir.empty()) {
