@@ -86,15 +86,16 @@ RunStats run_app(const core::TrainingServer* model, bool guarded) {
   bool done = false;
 
   std::function<void()> next_action;
-  auto write_checkpoint = [&](std::function<void()> then) {
+  auto write_checkpoint = [&](const std::function<void()>& then) {
+    // `then` is next_action, which outlives the study: capture it by reference.
     const std::string path = "/app/ckpt" + std::to_string(checkpoints_written);
     const sim::SimTime t0 = simulation.now();
-    client.create(path, 0, [&, t0, then](pfs::FileHandle fh) {
+    client.create(path, 0, [&, t0](pfs::FileHandle fh) {
       std::shared_ptr<std::function<void(std::int64_t)>> chunk_writer =
           std::make_shared<std::function<void(std::int64_t)>>();
-      *chunk_writer = [&, fh, t0, then, chunk_writer](std::int64_t off) {
+      *chunk_writer = [&, fh, t0, chunk_writer](std::int64_t off) {
         if (off >= kCkptBytes) {
-          client.close(fh, [&, t0, then] {
+          client.close(fh, [&, t0] {
             stats.checkpoint_stall_s += sim::to_seconds(simulation.now() - t0);
             ++checkpoints_written;
             then();

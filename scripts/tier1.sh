@@ -4,8 +4,9 @@
 # the parallel campaign runner, and the thread-parallel GEMM path, and an
 # AddressSanitizer leg over the .qds corruption-fuzz and reader tests so
 # hostile bytes can never turn into a silent out-of-bounds read (the same
-# leg fuzzes the .qifm model parser and the trainer's width checks), and an
-# UndefinedBehaviorSanitizer leg over the trace-storage tests.
+# leg fuzzes the .qifm model parser and the trainer's width checks, and runs
+# the scenario tests with LeakSanitizer on), and an UndefinedBehaviorSanitizer
+# leg over the trace-storage tests.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -62,7 +63,7 @@ cmake --build build-tsan -j --target test_exec test_core test_ml_gemm test_ml_tr
 ./build-tsan/tests/test_ctrl_controller
 ./build-tsan/tests/test_campaign_mitigate
 
-echo "=== tier-1: .qds/.qwp corruption fuzz under ASan ==="
+echo "=== tier-1: .qds/.qwp corruption fuzz and scenario leaks under ASan ==="
 # test_qds_fuzz covers the buffered reader, the mmap path (QdsMmapFuzz),
 # the .qdm manifest/shard files (QdmFuzz), and the qlz codec (QlzFuzz);
 # test_streaming exercises the mmap'ed shard lifecycle end to end.
@@ -75,7 +76,9 @@ echo "=== tier-1: .qds/.qwp corruption fuzz under ASan ==="
 # to read past every row.
 cmake -B build-asan -S . -DQIF_SANITIZE=address
 cmake --build build-asan -j --target test_qds_fuzz test_export test_streaming \
-  test_qwp test_replay test_trace test_serve_registry test_ml_trainer
+  test_qwp test_replay test_trace test_serve_registry test_ml_trainer \
+  test_sim_golden test_core test_sim_lanes test_pfs_client test_pfs_faults \
+  test_campaign_mitigate
 ./build-asan/tests/test_qds_fuzz
 ./build-asan/tests/test_export
 ./build-asan/tests/test_streaming
@@ -88,6 +91,16 @@ cmake --build build-asan -j --target test_qds_fuzz test_export test_streaming \
 # trace must never call back into it (ASan sees the dead frame only with
 # stack-use-after-return detection on).
 ASAN_OPTIONS=detect_stack_use_after_return=1 ./build-asan/tests/test_trace
+# Leak leg: every scenario ends with data ops still in flight at its horizon
+# (noise jobs loop until it), on healthy, lane, faulted and mitigated runs.
+# Their state lives in each client's pooled op slab, so tearing the cluster
+# down must free all of it — LeakSanitizer reports anything that survives.
+ASAN_OPTIONS=detect_leaks=1 ./build-asan/tests/test_sim_golden
+ASAN_OPTIONS=detect_leaks=1 ./build-asan/tests/test_core
+ASAN_OPTIONS=detect_leaks=1 ./build-asan/tests/test_sim_lanes
+ASAN_OPTIONS=detect_leaks=1 ./build-asan/tests/test_pfs_client
+ASAN_OPTIONS=detect_leaks=1 ./build-asan/tests/test_pfs_faults
+ASAN_OPTIONS=detect_leaks=1 ./build-asan/tests/test_campaign_mitigate
 
 echo "=== tier-1: trace storage under UBSan ==="
 # The trace log's fixed blocks and the records' inline target lists do

@@ -1,7 +1,6 @@
 #include "qif/pfs/client.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <string>
 #include <utility>
 
@@ -18,32 +17,76 @@ PfsClient::PfsClient(Cluster& cluster, NodeId node, Rank rank, std::int32_t job)
           cluster.config().seed, "client-retry/n" + std::to_string(node) + "/r" +
                                      std::to_string(rank) + "/j" + std::to_string(job))) {}
 
-void PfsClient::emit(OpType type, FileId file, std::int64_t offset, std::int64_t bytes,
-                     sim::SimTime start, trace::TargetList targets,
-                     const OpFaultStats* faults, std::string path, std::int32_t stripes,
-                     std::int32_t stripe_hint) {
+// ---------------------------------------------------------------------------
+// The op slab.  Every op — data or metadata — lives in a pooled record from
+// issue to completion; events refer to it by {slot, generation} handle, so
+// a completed op's stragglers can never touch the slot's next tenant, and
+// destroying the client frees everything still in flight.
+// ---------------------------------------------------------------------------
+
+PfsClient::OpHandle PfsClient::begin_op(OpType type, FileId file, std::int64_t offset,
+                                        std::int64_t len) {
+  std::uint32_t slot;
+  if (!free_ops_.empty()) {
+    slot = free_ops_.back();
+    free_ops_.pop_back();
+  } else {
+    slot = static_cast<std::uint32_t>(ops_.size());
+    ops_.emplace_back();
+  }
+  Op& op = ops_[slot];
+  op.type = type;
+  op.file = file;
+  op.offset = offset;
+  op.len = len;
+  op.start = sim_.now();
+  op.path.clear();
+  op.stripes = 0;
+  op.stripe_hint = -1;
+  op.targets = {};
+  op.rpcs.clear();
+  op.next = 0;
+  op.outstanding = 0;
+  op.remaining = 0;
+  op.throttle_wait = false;
+  op.faults = {};
+  op.meta = {};
+  return OpHandle{slot, op.gen};
+}
+
+PfsClient::Op* PfsClient::live_op(OpHandle h) {
+  Op& op = ops_[h.slot];
+  if (op.gen == h.gen) return &op;
+  ++stale_arrivals_;
+  return nullptr;
+}
+
+void PfsClient::release(OpHandle h) {
+  ++ops_[h.slot].gen;  // every handle to the finished op goes stale
+  free_ops_.push_back(h.slot);
+}
+
+void PfsClient::emit(Op& op, FileId file) {
   trace::OpRecord rec;
-  rec.path = std::move(path);
-  rec.stripes = stripes;
-  rec.stripe_hint = stripe_hint;
+  rec.path = std::move(op.path);
+  rec.stripes = op.stripes;
+  rec.stripe_hint = op.stripe_hint;
   rec.job = job_;
   rec.rank = rank_;
   rec.op_index = next_op_index_++;
-  rec.type = type;
+  rec.type = op.type;
   rec.file = file;
-  rec.offset = offset;
-  rec.bytes = bytes;
-  rec.start = start;
+  rec.offset = op.offset;
+  rec.bytes = op.len;
+  rec.start = op.start;
   rec.end = sim_.now();
-  rec.targets = std::move(targets);
-  if (faults != nullptr) {
-    rec.retries = faults->retries;
-    rec.timeouts = faults->timeouts;
-    rec.failed = faults->failed;
-    total_retries_ += faults->retries;
-    total_timeouts_ += faults->timeouts;
-    total_failed_ += faults->failed ? 1 : 0;
-  }
+  rec.targets = std::move(op.targets);
+  rec.retries = op.faults.retries;
+  rec.timeouts = op.faults.timeouts;
+  rec.failed = op.faults.failed;
+  total_retries_ += op.faults.retries;
+  total_timeouts_ += op.faults.timeouts;
+  total_failed_ += op.faults.failed ? 1 : 0;
   cluster_.record_client_op(node_, std::move(rec));
 }
 
@@ -53,247 +96,236 @@ void PfsClient::emit(OpType type, FileId file, std::int64_t offset, std::int64_t
 // Each attempt arms a deadline timer; a response beats the timer or the
 // timer beats the response.  A timed-out attempt backs off exponentially
 // (with deterministic jitter from the client's own RNG stream) and
-// re-issues, up to rpc_max_retries re-issues, after which the op fails with
-// EIO.  Responses from superseded attempts are recognised by attempt number
-// and dropped — at-least-once semantics, like a real RPC resend (server
-// work is idempotent here).  Each attempt carries its own copy of the serve
-// closure: the server side of an in-flight attempt then touches no state the
-// client side ever writes, which is what lets the attempt cross an event-lane
-// boundary — a straggler arriving after the op settles simply re-executes
-// idempotent server work, as a real resent RPC would.  With rpc_deadline ==
-// 0 none of this exists:
-// the RPC goes straight to the fabric, scheduling no timer and drawing no
-// randomness, so healthy runs replay the exact pre-fault event sequence.
+// re-issues, up to rpc_max_retries re-issues, after which the RPC fails
+// with EIO.  Responses from superseded attempts are recognised by attempt
+// number and dropped — at-least-once semantics, like a real RPC resend
+// (server work is idempotent here).  Each attempt sends its own by-value
+// copy of the request: the server side of an in-flight attempt then reads
+// no state the client ever writes, which is what lets the attempt cross an
+// event-lane boundary — a straggler arriving after the op settles simply
+// re-executes idempotent server work, as a real resent RPC would, and its
+// response finds a stale handle.  With rpc_deadline == 0 none of this
+// exists: the RPC goes straight to the fabric, scheduling no timer and
+// drawing no randomness, so healthy runs replay the exact pre-fault event
+// sequence.
 // ---------------------------------------------------------------------------
 
-void PfsClient::rpc_faultable(int server_port, std::int64_t request_payload,
-                              std::int64_t response_payload,
-                              std::function<void(std::function<void()>)> serve,
-                              std::function<void(bool)> cb,
-                              std::shared_ptr<OpFaultStats> stats) {
-  if (params_.rpc_deadline <= 0) {
-    cluster_.net().rpc(node_, server_port, request_payload, response_payload,
-                       std::move(serve), [cb = std::move(cb)] { cb(true); });
+void PfsClient::issue(OpHandle h, std::uint32_t idx) {
+  Op& op = ops_[h.slot];
+  Rpc& rpc = op.rpcs[idx];
+  const std::int32_t attempt = ++rpc.attempt;
+  if (params_.rpc_deadline > 0) {
+    rpc.timer = sim_.schedule_after(params_.rpc_deadline, [this, h, idx, attempt] {
+      on_timeout(h, idx, attempt);
+    });
+  }
+  RpcRequest req;
+  req.kind = rpc.kind;
+  int port;
+  if (req.is_metadata()) {
+    port = cluster_.mds_port();
+    req.stripes = op.stripes;
+    req.stripe_hint = op.stripe_hint;
+    req.file = op.file;
+    req.path = op.path;
+  } else {
+    port = cluster_.oss_port(rpc.ost);
+    req.ost = rpc.ost;
+    req.disk_offset = rpc.disk_offset;
+    req.len = rpc.len;
+  }
+  cluster_.net().rpc(node_, port, std::move(req),
+                     [this, h, idx, attempt](const MetaResult& reply) {
+                       on_reply(h, idx, attempt, reply);
+                     });
+}
+
+void PfsClient::on_reply(OpHandle h, std::uint32_t idx, std::int32_t attempt,
+                         const MetaResult& reply) {
+  Op* op = live_op(h);
+  if (op == nullptr) return;  // the op already finished
+  Rpc& rpc = op->rpcs[idx];
+  if (rpc.done || rpc.attempt != attempt) return;  // settled, or a superseded attempt
+  rpc.done = true;
+  if (rpc.timer != sim::kInvalidEvent) {
+    sim_.cancel(rpc.timer);
+    rpc.timer = sim::kInvalidEvent;
+  }
+  op->meta = reply;
+  settled(h, idx, /*ok=*/true);
+}
+
+void PfsClient::on_timeout(OpHandle h, std::uint32_t idx, std::int32_t attempt) {
+  Op* op = live_op(h);
+  if (op == nullptr) return;
+  Rpc& rpc = op->rpcs[idx];
+  if (rpc.done || rpc.attempt != attempt) return;  // superseded meanwhile
+  rpc.timer = sim::kInvalidEvent;
+  ++op->faults.timeouts;
+  if (rpc.attempt > params_.rpc_max_retries) {
+    // Retries exhausted: surface EIO.  Late responses find the RPC done or
+    // the op gone; stragglers still in flight re-run their own request copy.
+    rpc.done = true;
+    op->faults.failed = true;
+    settled(h, idx, /*ok=*/false);
     return;
   }
-  auto op = std::make_shared<RetryOp>();
-  op->server_port = server_port;
-  op->request_payload = request_payload;
-  op->response_payload = response_payload;
-  op->serve = std::move(serve);
-  op->cb = std::move(cb);
-  op->stats = std::move(stats);
-  issue_attempt(std::move(op));
+  ++op->faults.retries;
+  const double scale = static_cast<double>(1u << (rpc.attempt - 1));
+  double wait = static_cast<double>(params_.retry_backoff) * scale;
+  if (params_.retry_jitter > 0) {
+    wait *= 1.0 + params_.retry_jitter * retry_rng_.next_double();
+  }
+  sim_.schedule_after(std::max<sim::SimDuration>(1, static_cast<sim::SimDuration>(wait)),
+                      [this, h, idx] {
+                        // A late response may have settled the RPC, or even
+                        // finished the op, during the backoff.
+                        const Op* live = live_op(h);
+                        if (live != nullptr && !live->rpcs[idx].done) issue(h, idx);
+                      });
 }
 
-void PfsClient::issue_attempt(std::shared_ptr<RetryOp> op) {
-  const int my_attempt = ++op->attempt;
-  op->timer = sim_.schedule_after(params_.rpc_deadline, [this, op, my_attempt] {
-    if (op->done || op->attempt != my_attempt) return;  // superseded meanwhile
-    op->timer = sim::kInvalidEvent;
-    if (op->stats) ++op->stats->timeouts;
-    if (op->attempt > params_.rpc_max_retries) {
-      // Retries exhausted: surface EIO.  Late responses are ignored by the
-      // done flag; stragglers still in flight re-run their own serve copy.
-      op->done = true;
-      if (op->stats) op->stats->failed = true;
-      auto cb = std::move(op->cb);
-      op->serve = nullptr;
-      cb(false);
+void PfsClient::settled(OpHandle h, std::uint32_t idx, bool ok) {
+  Op& op = ops_[h.slot];
+  switch (op.type) {
+    case OpType::kRead:
+    case OpType::kWrite: {
+      // ok=false already marked the op failed; it still drains its
+      // remaining chunks so the completion count stays exact.
+      const Rpc& chunk = op.rpcs[idx];
+      if (gate_ != nullptr) {
+        gate_->on_chunk_complete(cluster_.oss_port(chunk.ost), chunk.len,
+                                 sim_.now() - chunk.issued);
+      }
+      --op.outstanding;
+      if (--op.remaining == 0) {
+        finish_data(h);
+      } else {
+        pump(h);
+      }
       return;
     }
-    if (op->stats) ++op->stats->retries;
-    const double scale = static_cast<double>(1u << (op->attempt - 1));
-    double wait = static_cast<double>(params_.retry_backoff) * scale;
-    if (params_.retry_jitter > 0) {
-      wait *= 1.0 + params_.retry_jitter * retry_rng_.next_double();
-    }
-    sim_.schedule_after(
-        std::max<sim::SimDuration>(1, static_cast<sim::SimDuration>(wait)), [this, op] {
-          // A late response may have completed the op during the backoff.
-          if (!op->done) issue_attempt(op);
-        });
-  });
-  cluster_.net().rpc(
-      node_, op->server_port, op->request_payload, op->response_payload,
-      // Value copy per attempt: the server side must not read RetryOp fields
-      // the client side writes (settling clears op->serve), or a cross-lane
-      // straggler would race the settle.
-      [serve = op->serve](std::function<void()> done) { serve(std::move(done)); },
-      [this, op, my_attempt] {
-        if (op->done || op->attempt != my_attempt) return;  // stale response
-        op->done = true;
-        if (op->timer != sim::kInvalidEvent) {
-          sim_.cancel(op->timer);
-          op->timer = sim::kInvalidEvent;
-        }
-        auto cb = std::move(op->cb);
-        op->serve = nullptr;
-        cb(true);
-      });
+    case OpType::kClose:
+      if (op.rpcs[idx].kind == RpcKind::kWriteSync) {
+        // Whether or not the flush succeeded, the namespace close still
+        // goes to the MDS (its own attempt budget, shared op stats).
+        op.rpcs.push_back(Rpc{RpcKind::kClose});
+        issue(h, idx + 1);
+        return;
+      }
+      break;
+    default:
+      break;
+  }
+  finish_meta(h, ok);
 }
 
 // ---------------------------------------------------------------------------
-// Metadata operations: one RPC to the MDS each.
+// Metadata operations: one RPC to the MDS each (a small file's close first
+// flushes its dirty bytes to the OST).
 // ---------------------------------------------------------------------------
+
+PfsClient::OpHandle PfsClient::begin_meta(OpType type, RpcKind kind, const std::string& path) {
+  const OpHandle h = begin_op(type, kInvalidFile, 0, 0);
+  Op& op = ops_[h.slot];
+  op.path = path;
+  op.targets = {trace::kMdtTarget};
+  op.rpcs.push_back(Rpc{kind});
+  return h;
+}
 
 void PfsClient::create(const std::string& path, int stripe_count, OpenCallback cb,
                        int stripe_hint) {
-  const sim::SimTime start = sim_.now();
-  // The MDS reply payload travels back through the RPC; a shared slot
-  // carries it from the serve closure to the completion closure.
-  auto result = std::make_shared<MetaResult>();
-  auto stats = make_fault_stats();
-  rpc_faultable(
-      cluster_.mds_port(), /*request=*/256, /*response=*/256,
-      [this, path, stripe_count, stripe_hint, result](std::function<void()> done) {
-        cluster_.mdt().create(path, stripe_count, stripe_hint,
-                              [result, done = std::move(done)](const MetaResult& r) {
-                                *result = r;
-                                done();
-                              });
-      },
-      [this, path, stripe_count, stripe_hint, result, start, cb = std::move(cb),
-       stats](bool ok) {
-        emit(OpType::kCreate, ok ? result->file : kInvalidFile, 0, 0, start,
-             {trace::kMdtTarget}, stats.get(), path, stripe_count, stripe_hint);
-        if (ok) {
-          cb(FileHandle{result->file, result->layout, result->size});
-        } else {
-          cb(FileHandle{});  // EIO: invalid handle, caller's ops degenerate
-        }
-      },
-      stats);
+  const OpHandle h = begin_meta(OpType::kCreate, RpcKind::kCreate, path);
+  Op& op = ops_[h.slot];
+  op.stripes = stripe_count;
+  op.stripe_hint = stripe_hint;
+  op.on_open = std::move(cb);
+  issue(h, 0);
 }
 
 void PfsClient::open(const std::string& path, OpenCallback cb) {
-  const sim::SimTime start = sim_.now();
-  auto result = std::make_shared<MetaResult>();
-  auto stats = make_fault_stats();
-  rpc_faultable(
-      cluster_.mds_port(), 256, 256,
-      [this, path, result](std::function<void()> done) {
-        cluster_.mdt().open(path, [result, done = std::move(done)](const MetaResult& r) {
-          *result = r;
-          done();
-        });
-      },
-      [this, path, result, start, cb = std::move(cb), stats](bool ok) {
-        emit(OpType::kOpen, ok ? result->file : kInvalidFile, 0, 0, start,
-             {trace::kMdtTarget}, stats.get(), path);
-        cb(FileHandle{ok && result->ok ? result->file : kInvalidFile, result->layout,
-                      result->size});
-      },
-      stats);
+  const OpHandle h = begin_meta(OpType::kOpen, RpcKind::kOpen, path);
+  ops_[h.slot].on_open = std::move(cb);
+  issue(h, 0);
 }
 
 void PfsClient::stat(const std::string& path, StatCallback cb) {
-  const sim::SimTime start = sim_.now();
-  auto result = std::make_shared<MetaResult>();
-  auto stats = make_fault_stats();
-  rpc_faultable(
-      cluster_.mds_port(), 256, 256,
-      [this, path, result](std::function<void()> done) {
-        cluster_.mdt().stat(path, [result, done = std::move(done)](const MetaResult& r) {
-          *result = r;
-          done();
-        });
-      },
-      [this, path, result, start, cb = std::move(cb), stats](bool ok) {
-        emit(OpType::kStat, ok ? result->file : kInvalidFile, 0, 0, start,
-             {trace::kMdtTarget}, stats.get(), path);
-        cb(ok && result->ok, result->size);
-      },
-      stats);
-}
-
-void PfsClient::close(const FileHandle& fh, DataCallback cb) {
-  const sim::SimTime start = sim_.now();
-  auto stats = make_fault_stats();
-  // Flush-on-close: a small file's dirty bytes are committed to the OST
-  // synchronously before the namespace close, so the close op's latency
-  // carries the full cost of whatever the target disk is suffering.
-  if (auto it = small_dirty_.find(fh.file);
-      it != small_dirty_.end() && !it->second.oversized && it->second.bytes > 0) {
-    const SmallDirty dirty = it->second;
-    small_dirty_.erase(it);
-    rpc_faultable(
-        cluster_.oss_port(dirty.ost), dirty.bytes, 0,
-        [this, dirty](std::function<void()> done) {
-          cluster_.ost(dirty.ost).write_sync(dirty.disk_offset, dirty.bytes, std::move(done));
-        },
-        [this, file = fh.file, start, ost = dirty.ost, stats,
-         cb = std::move(cb)](bool) mutable {
-          // Whether or not the flush succeeded, the namespace close still
-          // goes to the MDS (its own attempt budget, shared op stats).
-          finish_close(file, start, {ost, trace::kMdtTarget}, std::move(stats),
-                       std::move(cb));
-        },
-        stats);
-    return;
-  }
-  small_dirty_.erase(fh.file);
-  finish_close(fh.file, start, {trace::kMdtTarget}, std::move(stats), std::move(cb));
-}
-
-void PfsClient::finish_close(FileId file, sim::SimTime start,
-                             trace::TargetList targets,
-                             std::shared_ptr<OpFaultStats> faults, DataCallback cb) {
-  rpc_faultable(
-      cluster_.mds_port(), 256, 256,
-      [this, file](std::function<void()> done) {
-        cluster_.mdt().close(file, [done = std::move(done)](const MetaResult&) { done(); });
-      },
-      [this, file, start, targets = std::move(targets), faults,
-       cb = std::move(cb)](bool) {
-        emit(OpType::kClose, file, 0, 0, start, targets, faults.get());
-        cb();
-      },
-      faults);
-}
-
-void PfsClient::note_small_write(const FileHandle& fh, std::int64_t offset, std::int64_t len) {
-  auto [it, inserted] = small_dirty_.try_emplace(fh.file);
-  SmallDirty& d = it->second;
-  if (inserted) {
-    const auto extents = fh.layout->map(offset, len);
-    d.ost = extents.front().ost;
-    d.disk_offset = extents.front().disk_offset;
-  }
-  d.bytes += len;
-  if (d.bytes > params_.small_file_flush_bytes) d.oversized = true;
+  const OpHandle h = begin_meta(OpType::kStat, RpcKind::kStat, path);
+  ops_[h.slot].on_stat = std::move(cb);
+  issue(h, 0);
 }
 
 void PfsClient::unlink(const std::string& path, DataCallback cb) {
-  const sim::SimTime start = sim_.now();
-  auto stats = make_fault_stats();
-  rpc_faultable(
-      cluster_.mds_port(), 256, 256,
-      [this, path](std::function<void()> done) {
-        cluster_.mdt().unlink(path, [done = std::move(done)](const MetaResult&) { done(); });
-      },
-      [this, path, start, stats, cb = std::move(cb)](bool) {
-        emit(OpType::kUnlink, kInvalidFile, 0, 0, start, {trace::kMdtTarget}, stats.get(),
-             path);
-        cb();
-      },
-      stats);
+  const OpHandle h = begin_meta(OpType::kUnlink, RpcKind::kUnlink, path);
+  ops_[h.slot].on_done = std::move(cb);
+  issue(h, 0);
 }
 
 void PfsClient::mkdir(const std::string& path, DataCallback cb) {
-  const sim::SimTime start = sim_.now();
-  auto stats = make_fault_stats();
-  rpc_faultable(
-      cluster_.mds_port(), 256, 256,
-      [this, path](std::function<void()> done) {
-        cluster_.mdt().mkdir(path, [done = std::move(done)](const MetaResult&) { done(); });
-      },
-      [this, path, start, stats, cb = std::move(cb)](bool) {
-        emit(OpType::kMkdir, kInvalidFile, 0, 0, start, {trace::kMdtTarget}, stats.get(),
-             path);
-        cb();
-      },
-      stats);
+  const OpHandle h = begin_meta(OpType::kMkdir, RpcKind::kMkdir, path);
+  ops_[h.slot].on_done = std::move(cb);
+  issue(h, 0);
+}
+
+void PfsClient::close(const FileHandle& fh, DataCallback cb) {
+  const OpHandle h = begin_op(OpType::kClose, fh.file, 0, 0);
+  Op& op = ops_[h.slot];
+  op.on_done = std::move(cb);
+  const auto it = std::find_if(small_dirty_.begin(), small_dirty_.end(),
+                               [&fh](const SmallDirty& d) { return d.file == fh.file; });
+  if (it != small_dirty_.end() && !it->oversized && it->bytes > 0) {
+    // Flush-on-close: a small file's dirty bytes are committed to the OST
+    // synchronously before the namespace close, so the close op's latency
+    // carries the full cost of whatever the target disk is suffering.
+    op.targets = {it->ost, trace::kMdtTarget};
+    op.rpcs.push_back(Rpc{RpcKind::kWriteSync, it->ost, it->disk_offset, it->bytes});
+  } else {
+    op.targets = {trace::kMdtTarget};
+    op.rpcs.push_back(Rpc{RpcKind::kClose});
+  }
+  if (it != small_dirty_.end()) {
+    *it = small_dirty_.back();
+    small_dirty_.pop_back();
+  }
+  issue(h, 0);
+}
+
+void PfsClient::finish_meta(OpHandle h, bool ok) {
+  Op& op = ops_[h.slot];
+  // An EIO'd op never accepted a reply, so `meta` is still empty.
+  const MetaResult meta = op.meta;
+  switch (op.type) {
+    case OpType::kCreate: {
+      emit(op, ok ? meta.file : kInvalidFile);
+      OpenCallback cb = std::move(op.on_open);
+      release(h);
+      // EIO: an invalid handle, so the caller's ops degenerate.
+      cb(ok ? FileHandle{meta.file, meta.layout, meta.size} : FileHandle{});
+      return;
+    }
+    case OpType::kOpen: {
+      emit(op, ok ? meta.file : kInvalidFile);
+      OpenCallback cb = std::move(op.on_open);
+      release(h);
+      cb(FileHandle{ok && meta.ok ? meta.file : kInvalidFile, meta.layout, meta.size});
+      return;
+    }
+    case OpType::kStat: {
+      emit(op, ok ? meta.file : kInvalidFile);
+      StatCallback cb = std::move(op.on_stat);
+      release(h);
+      cb(ok && meta.ok, meta.size);
+      return;
+    }
+    default: {  // close, unlink, mkdir
+      emit(op, op.type == OpType::kClose ? op.file : kInvalidFile);
+      DataCallback cb = std::move(op.on_done);
+      release(h);
+      cb();
+      return;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -312,128 +344,100 @@ void PfsClient::write(const FileHandle& fh, std::int64_t offset, std::int64_t le
 
 void PfsClient::data_op(bool is_write, const FileHandle& fh, std::int64_t offset,
                         std::int64_t len, DataCallback cb) {
-  const sim::SimTime start = sim_.now();
+  const OpType type = is_write ? OpType::kWrite : OpType::kRead;
   if (!fh.valid() || len <= 0) {
     // Degenerate op: still emits a record so op indices stay aligned with
     // the workload's issue sequence.
-    sim_.schedule_after(sim::kMicrosecond, [this, is_write, fh, offset, start,
-                                                      cb = std::move(cb)] {
-      emit(is_write ? OpType::kWrite : OpType::kRead, fh.file, offset, 0, start, {});
-      cb();
-    });
+    const OpHandle h = begin_op(type, fh.file, offset, 0);
+    ops_[h.slot].on_done = std::move(cb);
+    sim_.schedule_after(sim::kMicrosecond, [this, h] { finish_data(h); });
     return;
   }
 
+  const OpHandle h = begin_op(type, fh.file, offset, len);
+  Op& op = ops_[h.slot];
+  op.on_done = std::move(cb);
   // Chunk the stripe extents to the RPC size cap.
-  struct Chunk {
-    OstId ost;
-    std::int64_t disk_offset;
-    std::int64_t len;
-  };
-  auto chunks = std::make_shared<std::vector<Chunk>>();
-  trace::TargetList targets;
-  for (const Extent& e : fh.layout->map(offset, len)) {
-    std::int64_t pos = 0;
-    while (pos < e.len) {
+  const RpcKind kind = is_write ? RpcKind::kWrite : RpcKind::kRead;
+  fh.layout->for_each_extent(offset, len, [&](const Extent& e) {
+    for (std::int64_t pos = 0; pos < e.len;) {
       const std::int64_t take = std::min(params_.max_rpc_bytes, e.len - pos);
-      chunks->push_back(Chunk{e.ost, e.disk_offset + pos, take});
+      op.rpcs.push_back(Rpc{kind, e.ost, e.disk_offset + pos, take});
       pos += take;
     }
-    if (std::find(targets.begin(), targets.end(), e.ost) == targets.end()) {
-      targets.push_back(e.ost);
+    if (std::find(op.targets.begin(), op.targets.end(), e.ost) == op.targets.end()) {
+      op.targets.push_back(e.ost);
     }
+  });
+  op.remaining = op.rpcs.size();
+  if (is_write) note_small_write(fh.file, op.rpcs.front(), len);
+  pump(h);
+}
+
+void PfsClient::note_small_write(FileId file, const Rpc& first_chunk, std::int64_t len) {
+  auto it = std::find_if(small_dirty_.begin(), small_dirty_.end(),
+                         [file](const SmallDirty& d) { return d.file == file; });
+  if (it == small_dirty_.end()) {
+    small_dirty_.push_back(SmallDirty{file, first_chunk.ost, first_chunk.disk_offset});
+    it = small_dirty_.end() - 1;
   }
+  it->bytes += len;
+  if (it->bytes > params_.small_file_flush_bytes) it->oversized = true;
+}
 
-  struct OpState {
-    std::size_t next = 0;
-    std::size_t outstanding = 0;
-    std::size_t remaining;
-    bool throttle_wait = false;  ///< a gate wake-up event is pending
-    explicit OpState(std::size_t n) : remaining(n) {}
-  };
-  if (is_write) note_small_write(fh, offset, len);
-
-  auto stats = make_fault_stats();  // shared by every chunk RPC of this op
-  auto state = std::make_shared<OpState>(chunks->size());
-  auto finish = [this, is_write, fh, offset, len, start, stats,
-                 targets = std::move(targets), cb = std::move(cb)]() {
-    // A failed op never reached the server coherently; don't grow the file.
-    if (is_write && !(stats && stats->failed)) {
-      cluster_.post_note_size(node_, fh.file, offset + len);
+// Issues chunks with at most max_rpcs_in_flight outstanding; every chunk
+// completion re-enters the pump.  With an admission gate the pump
+// additionally (a) clamps the window to the gate's concurrency cap, re-read
+// before every chunk so a decision epoch takes effect mid-op, and (b) asks
+// the gate before issuing each chunk — strictly before issue(), so a
+// throttled chunk never arms a deadline timer and an admission delay can
+// never read as a timeout or retry.  A refused ask parks the pump behind
+// one wake-up event (single waiter per op); ungated clients take the exact
+// pre-gate code path.
+void PfsClient::pump(OpHandle h) {
+  Op& op = ops_[h.slot];
+  while (op.next < op.rpcs.size()) {
+    std::size_t cap = static_cast<std::size_t>(params_.max_rpcs_in_flight);
+    if (gate_ != nullptr) {
+      cap = static_cast<std::size_t>(
+          std::clamp(gate_->concurrency_cap(), 1, params_.max_rpcs_in_flight));
     }
-    emit(is_write ? OpType::kWrite : OpType::kRead, fh.file, offset, len, start, targets,
-         stats.get());
-    cb();
-  };
-
-  // Issue chunks with at most max_rpcs_in_flight outstanding.  `pump` is
-  // stored in a shared_ptr so completion callbacks can re-enter it.  With an
-  // admission gate the pump additionally (a) clamps the window to the gate's
-  // concurrency cap, re-read before every chunk so a decision epoch takes
-  // effect mid-op, and (b) asks the gate before issuing each chunk —
-  // strictly before rpc_faultable, so a throttled chunk never arms a
-  // deadline timer and an admission delay can never read as a timeout or
-  // retry.  A refused ask parks the pump behind one wake-up event (single
-  // waiter per op); ungated clients take the exact pre-gate code path.
-  auto pump = std::make_shared<std::function<void()>>();
-  *pump = [this, is_write, chunks, state, stats, pump, finish = std::move(finish)]() {
-    while (state->next < chunks->size()) {
-      std::size_t cap = static_cast<std::size_t>(params_.max_rpcs_in_flight);
-      if (gate_ != nullptr) {
-        cap = static_cast<std::size_t>(
-            std::clamp(gate_->concurrency_cap(), 1, params_.max_rpcs_in_flight));
-      }
-      if (state->outstanding >= cap) break;
-      const Chunk c = (*chunks)[state->next];
-      const int port = cluster_.oss_port(c.ost);
-      if (gate_ != nullptr) {
-        const sim::SimDuration wait = gate_->acquire(port, c.len, sim_.now());
-        if (wait > 0) {
-          if (!state->throttle_wait) {
-            state->throttle_wait = true;
-            sim_.schedule_after(wait, [state, pump] {
-              state->throttle_wait = false;
-              // The op may have drained (EIO path) while we slept.
-              if (*pump) (*pump)();
-            });
-          }
-          return;
+    if (op.outstanding >= cap) break;
+    Rpc& chunk = op.rpcs[op.next];
+    if (gate_ != nullptr) {
+      const sim::SimDuration wait =
+          gate_->acquire(cluster_.oss_port(chunk.ost), chunk.len, sim_.now());
+      if (wait > 0) {
+        if (!op.throttle_wait) {
+          op.throttle_wait = true;
+          sim_.schedule_after(wait, [this, h] {
+            // Another completion may have drained the op while we slept.
+            if (Op* live = live_op(h)) {
+              live->throttle_wait = false;
+              pump(h);
+            }
+          });
         }
+        return;
       }
-      ++state->next;
-      ++state->outstanding;
-      const sim::SimTime issued = sim_.now();
-      const std::int64_t req_payload = is_write ? c.len : 0;
-      const std::int64_t resp_payload = is_write ? 0 : c.len;
-      rpc_faultable(
-          port, req_payload, resp_payload,
-          [this, is_write, c](std::function<void()> done) {
-            if (is_write) {
-              cluster_.ost(c.ost).write(c.disk_offset, c.len, std::move(done));
-            } else {
-              cluster_.ost(c.ost).read(c.disk_offset, c.len, std::move(done));
-            }
-          },
-          [this, state, pump, finish, port, len = c.len, issued](bool) {
-            // ok=false already marked stats->failed; the op still drains its
-            // remaining chunks so the completion count stays exact.
-            if (gate_ != nullptr) {
-              gate_->on_chunk_complete(port, len, sim_.now() - issued);
-            }
-            --state->outstanding;
-            --state->remaining;
-            if (state->remaining == 0) {
-              finish();
-              // Break the pump's self-reference cycle so the op state frees.
-              *pump = nullptr;
-            } else {
-              (*pump)();
-            }
-          },
-          stats);
     }
-  };
-  (*pump)();
+    chunk.issued = sim_.now();
+    ++op.outstanding;
+    issue(h, static_cast<std::uint32_t>(op.next++));
+  }
+}
+
+void PfsClient::finish_data(OpHandle h) {
+  Op& op = ops_[h.slot];
+  // A failed op never reached the server coherently; don't grow the file.
+  // (A degenerate op has len 0 and never touched it.)
+  if (op.type == OpType::kWrite && op.len > 0 && !op.faults.failed) {
+    cluster_.post_note_size(node_, op.file, op.offset + op.len);
+  }
+  emit(op, op.file);
+  DataCallback cb = std::move(op.on_done);
+  release(h);
+  cb();
 }
 
 }  // namespace qif::pfs

@@ -11,14 +11,13 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "qif/pfs/layout.hpp"
+#include "qif/pfs/network.hpp"
 #include "qif/pfs/types.hpp"
+#include "qif/sim/inline_task.hpp"
 #include "qif/sim/rng.hpp"
 #include "qif/sim/simulation.hpp"
 #include "qif/trace/op_record.hpp"
@@ -63,12 +62,17 @@ struct FileHandle {
 
 class PfsClient {
  public:
-  using DataCallback = std::function<void()>;
-  using OpenCallback = std::function<void(FileHandle)>;
-  using StatCallback = std::function<void(bool ok, std::int64_t size)>;
+  // Move-only and allocation-free: a capture that outgrows the buffer is a
+  // compile error (sim/inline_task.hpp).
+  using DataCallback = sim::InlineFunction<void(), 64>;
+  using OpenCallback = sim::InlineFunction<void(FileHandle), 64>;
+  using StatCallback = sim::InlineFunction<void(bool ok, std::int64_t size), 64>;
 
   /// `job` tags every record this client emits (one workload = one job id).
   PfsClient(Cluster& cluster, NodeId node, Rank rank, std::int32_t job);
+
+  PfsClient(const PfsClient&) = delete;
+  PfsClient& operator=(const PfsClient&) = delete;
 
   // -- metadata ops ---------------------------------------------------------
   /// Creates the file with `stripe_count` stripes (0 = stripe over all
@@ -100,6 +104,14 @@ class PfsClient {
   [[nodiscard]] std::int64_t total_timeouts() const { return total_timeouts_; }
   [[nodiscard]] std::int64_t total_failed_ops() const { return total_failed_; }
 
+  /// Op records ever allocated (in flight + free-listed).  Bounded by the
+  /// peak number of this client's simultaneously open ops — exposed so
+  /// tests can assert that finished ops' slots are reused.
+  [[nodiscard]] std::size_t op_slab_size() const { return ops_.size(); }
+  /// Late events — a response, retry timer or gate wake-up — that arrived
+  /// after their op had finished and were dropped.
+  [[nodiscard]] std::int64_t stale_arrivals() const { return stale_arrivals_; }
+
   /// Admission gate for this client's data-RPC chunks (admission.hpp), or
   /// nullptr — the default, in which case the data-op pump takes the exact
   /// ungated code path (no extra events, byte-identical traces).  The gate
@@ -111,57 +123,91 @@ class PfsClient {
  private:
   /// Small-file dirty state for flush-on-close.
   struct SmallDirty {
+    FileId file = kInvalidFile;
     OstId ost = 0;
     std::int64_t disk_offset = 0;
     std::int64_t bytes = 0;
     bool oversized = false;  ///< grew past the threshold; close is cheap
   };
 
-  /// Fault outcome of one POSIX-level op (shared by all of its chunk RPCs).
+  /// Fault outcome of one POSIX-level op (shared by all of its RPCs).
   struct OpFaultStats {
     std::int32_t retries = 0;
     std::int32_t timeouts = 0;
     bool failed = false;
   };
 
-  /// One RPC riding the timeout/retry state machine.
-  struct RetryOp {
-    int server_port = 0;
-    std::int64_t request_payload = 0;
-    std::int64_t response_payload = 0;
-    std::function<void(std::function<void()>)> serve;
-    std::function<void(bool ok)> cb;
-    std::shared_ptr<OpFaultStats> stats;
-    int attempt = 0;                        ///< attempts issued so far
-    bool done = false;                      ///< response accepted or EIO'd
+  /// One RPC of an op — a data chunk, the flush of a close, or a metadata
+  /// request — with its timeout/retry state.
+  struct Rpc {
+    RpcKind kind = RpcKind::kRead;
+    OstId ost = 0;
+    std::int64_t disk_offset = 0;
+    std::int64_t len = 0;
+    sim::SimTime issued = 0;  ///< first issue (the gate's rtt origin)
+    std::int32_t attempt = 0;  ///< attempts issued so far
+    bool done = false;         ///< response accepted or EIO'd
     sim::EventId timer = sim::kInvalidEvent;
   };
 
-  /// `path`/`stripes`/`stripe_hint` are the replay-metadata columns of the
-  /// record (empty/zero for data ops); see trace::OpRecord.
-  void emit(OpType type, FileId file, std::int64_t offset, std::int64_t bytes,
-            sim::SimTime start, trace::TargetList targets,
-            const OpFaultStats* faults = nullptr, std::string path = {},
-            std::int32_t stripes = 0, std::int32_t stripe_hint = -1);
+  /// Pooled state of one in-flight op.  A record is addressed by an
+  /// OpHandle; `gen` is bumped when the op finishes, so every event still
+  /// holding the old handle (a late response, a retry timer, a gate
+  /// wake-up) finds a mismatch and does nothing.
+  struct Op {
+    std::uint32_t gen = 0;
+    OpType type = OpType::kRead;
+    FileId file = kInvalidFile;
+    std::int64_t offset = 0;
+    std::int64_t len = 0;
+    sim::SimTime start = 0;
+    std::string path;  ///< replay columns of a metadata record (trace::OpRecord)
+    std::int32_t stripes = 0;
+    std::int32_t stripe_hint = -1;
+    trace::TargetList targets;
+    std::vector<Rpc> rpcs;  ///< capacity survives slot reuse
+    std::size_t next = 0;         ///< data: next chunk to issue
+    std::size_t outstanding = 0;  ///< data: chunks in flight
+    std::size_t remaining = 0;    ///< data: chunks not yet settled
+    bool throttle_wait = false;   ///< a gate wake-up event is pending
+    OpFaultStats faults;
+    MetaResult meta;  ///< the accepted metadata reply
+    DataCallback on_done;
+    OpenCallback on_open;
+    StatCallback on_stat;
+  };
+
+  struct OpHandle {
+    std::uint32_t slot = 0;
+    std::uint32_t gen = 0;
+  };
+
+  OpHandle begin_op(OpType type, FileId file, std::int64_t offset, std::int64_t len);
+  /// A metadata op with its single MDS RPC, not yet issued.
+  OpHandle begin_meta(OpType type, RpcKind kind, const std::string& path);
+  /// The op `h` names, or nullptr (counted as a stale arrival) once that op
+  /// has finished.
+  [[nodiscard]] Op* live_op(OpHandle h);
+  /// Frees the slot; every outstanding handle to the op goes stale.
+  void release(OpHandle h);
+  /// Records the finished op (moving its path and targets out).
+  void emit(Op& op, FileId file);
+
   void data_op(bool is_write, const FileHandle& fh, std::int64_t offset, std::int64_t len,
                DataCallback cb);
-  void note_small_write(const FileHandle& fh, std::int64_t offset, std::int64_t len);
-  void finish_close(FileId file, sim::SimTime start, trace::TargetList targets,
-                    std::shared_ptr<OpFaultStats> faults, DataCallback cb);
+  void note_small_write(FileId file, const Rpc& first_chunk, std::int64_t len);
+  void pump(OpHandle h);
 
-  /// Runs one RPC under the timeout/retry machine when `rpc_deadline` > 0;
-  /// with a zero deadline it degrades to a plain fabric RPC (no timer
-  /// events, no RNG draws) and always reports ok=true.
-  void rpc_faultable(int server_port, std::int64_t request_payload,
-                     std::int64_t response_payload,
-                     std::function<void(std::function<void()>)> serve,
-                     std::function<void(bool ok)> cb,
-                     std::shared_ptr<OpFaultStats> stats);
-  void issue_attempt(std::shared_ptr<RetryOp> op);
-  /// Allocates per-op fault stats when the machinery is on, nullptr when off.
-  [[nodiscard]] std::shared_ptr<OpFaultStats> make_fault_stats() {
-    return params_.rpc_deadline > 0 ? std::make_shared<OpFaultStats>() : nullptr;
-  }
+  /// Issues one attempt of `op.rpcs[idx]`: arms its deadline timer when
+  /// `rpc_deadline` > 0 (none with a zero deadline, and no RNG draws), then
+  /// sends the request by value.
+  void issue(OpHandle h, std::uint32_t idx);
+  void on_reply(OpHandle h, std::uint32_t idx, std::int32_t attempt, const MetaResult& reply);
+  void on_timeout(OpHandle h, std::uint32_t idx, std::int32_t attempt);
+  /// An RPC ended: ok, or EIO after its retries ran out.
+  void settled(OpHandle h, std::uint32_t idx, bool ok);
+  void finish_data(OpHandle h);
+  void finish_meta(OpHandle h, bool ok);
 
   Cluster& cluster_;
   sim::Simulation& sim_;  ///< the engine owning this client's node
@@ -170,12 +216,15 @@ class PfsClient {
   std::int32_t job_;
   std::int64_t next_op_index_ = 0;
   ClientParams params_;
-  std::map<FileId, SmallDirty> small_dirty_;
+  std::vector<Op> ops_;
+  std::vector<std::uint32_t> free_ops_;
+  std::vector<SmallDirty> small_dirty_;  ///< files written since their open; few
   sim::Rng retry_rng_;
   AdmissionGate* gate_ = nullptr;
   std::int64_t total_retries_ = 0;
   std::int64_t total_timeouts_ = 0;
   std::int64_t total_failed_ = 0;
+  std::int64_t stale_arrivals_ = 0;
 };
 
 }  // namespace qif::pfs

@@ -14,6 +14,8 @@ Cluster::Cluster(sim::Simulation& sim, const ClusterConfig& config)
   build_servers(config_);
   net_ = std::make_unique<NetworkFabric>(sim, config_.network, config_.n_client_nodes,
                                          config_.n_oss + 1);
+  net_->set_server(
+      [this](RpcRequest req, RpcDone done) { serve(std::move(req), std::move(done)); });
 }
 
 Cluster::Cluster(sim::LaneGroup& lanes, const ClusterConfig& config)
@@ -40,6 +42,58 @@ Cluster::Cluster(sim::LaneGroup& lanes, const ClusterConfig& config)
   shard_keys_.resize(static_cast<std::size_t>(L));
   build_servers(config_);
   net_ = std::make_unique<NetworkFabric>(lanes, config_.network, node_lane_, port_lane_);
+  net_->set_server(
+      [this](RpcRequest req, RpcDone done) { serve(std::move(req), std::move(done)); });
+}
+
+void Cluster::serve(RpcRequest req, RpcDone done) {
+  switch (req.kind) {
+    case RpcKind::kRead:
+      ost(req.ost).read(req.disk_offset, req.len, std::move(done));
+      return;
+    case RpcKind::kWrite:
+      ost(req.ost).write(req.disk_offset, req.len, std::move(done));
+      return;
+    case RpcKind::kWriteSync:
+      ost(req.ost).write_sync(req.disk_offset, req.len, std::move(done));
+      return;
+    default:
+      break;
+  }
+  std::uint32_t slot;
+  if (!meta_done_free_.empty()) {
+    slot = meta_done_free_.back();
+    meta_done_free_.pop_back();
+    meta_done_[slot] = std::move(done);
+  } else {
+    slot = static_cast<std::uint32_t>(meta_done_.size());
+    meta_done_.push_back(std::move(done));
+  }
+  auto reply = [this, slot](const MetaResult& r) {
+    RpcDone d = std::move(meta_done_[slot]);
+    meta_done_free_.push_back(slot);
+    d(r);
+  };
+  switch (req.kind) {
+    case RpcKind::kCreate:
+      mdt_->create(std::move(req.path), req.stripes, req.stripe_hint, reply);
+      break;
+    case RpcKind::kOpen:
+      mdt_->open(std::move(req.path), reply);
+      break;
+    case RpcKind::kStat:
+      mdt_->stat(std::move(req.path), reply);
+      break;
+    case RpcKind::kClose:
+      mdt_->close(req.file, reply);
+      break;
+    case RpcKind::kUnlink:
+      mdt_->unlink(std::move(req.path), reply);
+      break;
+    default:  // kMkdir
+      mdt_->mkdir(std::move(req.path), reply);
+      break;
+  }
 }
 
 void Cluster::build_servers(const ClusterConfig& config) {

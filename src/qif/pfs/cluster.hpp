@@ -165,6 +165,8 @@ class Cluster {
   };
 
   void build_servers(const ClusterConfig& config);
+  /// The fabric's server side: runs `req` on its OST or on the MDS.
+  void serve(RpcRequest req, RpcDone done);
 
   sim::Simulation* single_sim_ = nullptr;  // classic mode
   sim::LaneGroup* lanes_ = nullptr;        // lane mode
@@ -174,6 +176,10 @@ class Cluster {
   std::vector<std::unique_ptr<Ost>> osts_;
   std::unique_ptr<MdtServer> mdt_;
   std::unique_ptr<NetworkFabric> net_;
+  /// RpcDones of metadata RPCs inside the MDS, parked so the MDT callback
+  /// captures only {this, slot}.  Touched only on the MDS's engine.
+  std::vector<RpcDone> meta_done_;
+  std::vector<std::uint32_t> meta_done_free_;
   std::vector<std::unique_ptr<PfsClient>> clients_;
   GateFactory gate_factory_;
   trace::TraceLog trace_log_;

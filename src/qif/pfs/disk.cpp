@@ -24,29 +24,63 @@ void DiskModel::settle_time_integrals() {
   last_integral_update_ = now;
 }
 
+void DiskModel::append_completion(Request& req, sim::InlineTask fn) {
+  std::uint32_t idx;
+  if (free_completion_ != kNoCompletion) {
+    idx = free_completion_;
+    free_completion_ = completions_[idx].next;
+    completions_[idx].fn = std::move(fn);
+    completions_[idx].next = kNoCompletion;
+  } else {
+    idx = static_cast<std::uint32_t>(completions_.size());
+    completions_.push_back(Completion{std::move(fn), kNoCompletion});
+  }
+  if (req.last == kNoCompletion) {
+    req.first = idx;
+  } else {
+    completions_[req.last].next = idx;
+  }
+  req.last = idx;
+  ++req.count;
+}
+
+void DiskModel::enqueue(Queue& q, const Request& req) {
+  if (spare_nodes_.empty()) {
+    q.emplace(req.offset, req);
+    return;
+  }
+  Queue::node_type node = std::move(spare_nodes_.back());
+  spare_nodes_.pop_back();
+  node.key() = req.offset;
+  node.mapped() = req;
+  q.insert(std::move(node));
+}
+
 bool DiskModel::try_merge(Queue& q, bool is_write, std::int64_t offset, std::int64_t len,
-                          std::function<void()>& on_complete) {
+                          sim::InlineTask& on_complete) {
   // Back merge: an existing request ends exactly where the new one starts.
   if (auto it = q.lower_bound(offset); it != q.begin()) {
     auto prev = std::prev(it);
     Request& r = prev->second;
     if (r.offset + r.len == offset && r.len + len <= params_.max_merge_bytes) {
       r.len += len;
-      r.completions.push_back(std::move(on_complete));
+      append_completion(r, std::move(on_complete));
       (is_write ? counters_.write_merges : counters_.read_merges) += 1;
       return true;
     }
   }
   // Front merge: the new request ends exactly where an existing one starts.
   if (auto it = q.find(offset + len); it != q.end()) {
-    Request moved = std::move(it->second);
-    if (moved.len + len <= params_.max_merge_bytes) {
-      q.erase(it);
+    if (it->second.len + len <= params_.max_merge_bytes) {
+      // Re-key the queued node in place of an erase + insert.
+      Queue::node_type node = q.extract(it);
+      Request& moved = node.mapped();
       moved.offset = offset;
       moved.len += len;
-      moved.completions.push_back(std::move(on_complete));
+      append_completion(moved, std::move(on_complete));
       (is_write ? counters_.write_merges : counters_.read_merges) += 1;
-      q.emplace(moved.offset, std::move(moved));
+      node.key() = offset;
+      q.insert(std::move(node));
       return true;
     }
   }
@@ -54,7 +88,7 @@ bool DiskModel::try_merge(Queue& q, bool is_write, std::int64_t offset, std::int
 }
 
 void DiskModel::submit(bool is_write, std::int64_t offset, std::int64_t len,
-                       std::function<void()> on_complete) {
+                       sim::InlineTask on_complete) {
   settle_time_integrals();
   Queue& q = is_write ? write_queue_ : read_queue_;
   counters_.queued_requests += 1;
@@ -64,8 +98,8 @@ void DiskModel::submit(bool is_write, std::int64_t offset, std::int64_t len,
     req.offset = offset;
     req.len = len;
     req.arrival = sim_.now();
-    req.completions.push_back(std::move(on_complete));
-    q.emplace(offset, std::move(req));
+    append_completion(req, std::move(on_complete));
+    enqueue(q, req);
   }
   maybe_dispatch();
 }
@@ -152,9 +186,9 @@ void DiskModel::maybe_dispatch() {
   }
 
   Queue& q = pick_write ? write_queue_ : read_queue_;
-  auto it = pick_elevator(q);
-  Request req = std::move(it->second);
-  q.erase(it);
+  Queue::node_type node = q.extract(pick_elevator(q));
+  const Request req = node.mapped();
+  spare_nodes_.push_back(std::move(node));
 
   busy_ = true;
   const sim::SimDuration svc = service_time(req);
@@ -170,25 +204,30 @@ void DiskModel::maybe_dispatch() {
       oldest_write_arrival_ = std::min(oldest_write_arrival_, r.arrival);
     }
   }
-  sim_.schedule_after(svc, [this, pick_write, req = std::move(req)]() mutable {
-    finish(pick_write, std::move(req));
-  });
+  sim_.schedule_after(svc, [this, pick_write, req] { finish(pick_write, req); });
 }
 
-void DiskModel::finish(bool is_write, Request req) {
+void DiskModel::finish(bool is_write, const Request& req) {
   settle_time_integrals();
   busy_ = false;
   const std::int64_t sectors = (req.len + params_.sector_bytes - 1) / params_.sector_bytes;
   if (is_write) {
-    counters_.writes_completed += static_cast<std::int64_t>(req.completions.size());
+    counters_.writes_completed += req.count;
     counters_.sectors_written += sectors;
   } else {
-    counters_.reads_completed += static_cast<std::int64_t>(req.completions.size());
+    counters_.reads_completed += req.count;
     counters_.sectors_read += sectors;
     last_read_completion_ = sim_.now();
   }
   maybe_dispatch();
-  for (auto& fn : req.completions) {
+  // A callback may submit again and grow the pool: move each one out and
+  // free its entry before invoking it, touching the pool by index only.
+  for (std::uint32_t idx = req.first; idx != kNoCompletion;) {
+    sim::InlineTask fn = std::move(completions_[idx].fn);
+    const std::uint32_t next = completions_[idx].next;
+    completions_[idx].next = free_completion_;
+    free_completion_ = idx;
+    idx = next;
     if (fn) fn();
   }
 }

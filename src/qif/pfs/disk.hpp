@@ -23,8 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <limits>
 #include <map>
 #include <string>
@@ -85,7 +83,7 @@ class DiskModel {
   /// the media transfer finishes.  Requests may be merged with physically
   /// contiguous queued requests of the same kind.
   void submit(bool is_write, std::int64_t offset, std::int64_t len,
-              std::function<void()> on_complete);
+              sim::InlineTask on_complete);
 
   /// Snapshot of the cumulative counters, with time-integrals settled to
   /// the current instant.
@@ -111,22 +109,35 @@ class DiskModel {
   [[nodiscard]] bool stalled() const { return stalled_; }
 
  private:
+  /// One pooled completion callback; a request's callbacks form a list
+  /// through `next` (more than one when merged).
+  struct Completion {
+    sim::InlineTask fn;
+    std::uint32_t next = kNoCompletion;
+  };
+  static constexpr std::uint32_t kNoCompletion = 0xffffffffu;
+
   struct Request {
     std::int64_t offset = 0;
     std::int64_t len = 0;
     sim::SimTime arrival = 0;
-    std::vector<std::function<void()>> completions;  // >1 when merged
+    std::uint32_t first = kNoCompletion;  ///< completion list, submit order
+    std::uint32_t last = kNoCompletion;
+    std::uint32_t count = 0;
   };
   // Keyed by start offset for elevator order and O(log n) merge lookup.
   using Queue = std::multimap<std::int64_t, Request>;
 
   void settle_time_integrals();
+  void append_completion(Request& req, sim::InlineTask fn);
   bool try_merge(Queue& q, bool is_write, std::int64_t offset, std::int64_t len,
-                 std::function<void()>& on_complete);
+                 sim::InlineTask& on_complete);
+  /// Inserts `req` under its offset, reusing a spare queue node if any.
+  void enqueue(Queue& q, const Request& req);
   void maybe_dispatch();
   Queue::iterator pick_elevator(Queue& q);
   sim::SimDuration service_time(const Request& req);
-  void finish(bool is_write, Request req);
+  void finish(bool is_write, const Request& req);
 
   sim::Simulation& sim_;
   DiskParams params_;
@@ -135,6 +146,11 @@ class DiskModel {
 
   Queue read_queue_;
   Queue write_queue_;
+  // Steady state allocates nothing: dispatched queue nodes are kept for the
+  // next submit, and completions live in a free-listed pool.
+  std::vector<Queue::node_type> spare_nodes_;
+  std::vector<Completion> completions_;
+  std::uint32_t free_completion_ = kNoCompletion;
   bool busy_ = false;
   sim::SimTime last_read_completion_ = std::numeric_limits<sim::SimTime>::min();
   bool anticipation_armed_ = false;  ///< a deferred write-dispatch is scheduled

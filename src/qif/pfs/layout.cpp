@@ -31,29 +31,4 @@ FileLayout::FileLayout(FileId file, std::vector<OstId> osts, std::int64_t stripe
   }
 }
 
-std::vector<Extent> FileLayout::map(std::int64_t offset, std::int64_t len) const {
-  std::vector<Extent> out;
-  const auto n = static_cast<std::int64_t>(osts_.size());
-  std::int64_t pos = offset;
-  std::int64_t remaining = len;
-  while (remaining > 0) {
-    const std::int64_t stripe_index = pos / stripe_size_;
-    const std::int64_t slot = stripe_index % n;          // which OST
-    const std::int64_t row = stripe_index / n;           // object-local stripe row
-    const std::int64_t in_stripe = pos % stripe_size_;
-    const std::int64_t take = std::min(remaining, stripe_size_ - in_stripe);
-    const std::int64_t obj_off = row * stripe_size_ + in_stripe;
-    const std::int64_t disk_off = bases_[static_cast<std::size_t>(slot)] + obj_off;
-    if (!out.empty() && out.back().ost == osts_[static_cast<std::size_t>(slot)] &&
-        out.back().disk_offset + out.back().len == disk_off) {
-      out.back().len += take;  // coalesce contiguous pieces
-    } else {
-      out.push_back(Extent{osts_[static_cast<std::size_t>(slot)], disk_off, take});
-    }
-    pos += take;
-    remaining -= take;
-  }
-  return out;
-}
-
 }  // namespace qif::pfs

@@ -8,6 +8,7 @@
 // streams" into the seek traffic that dominates read-vs-read interference.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -30,10 +31,18 @@ class FileLayout {
   [[nodiscard]] const std::vector<OstId>& osts() const { return osts_; }
   [[nodiscard]] std::int64_t stripe_size() const { return stripe_size_; }
 
-  /// Splits the file range [offset, offset+len) into per-OST disk extents,
-  /// in file order.  Adjacent pieces on the same OST within one stripe row
-  /// are already coalesced by construction.
-  [[nodiscard]] std::vector<Extent> map(std::int64_t offset, std::int64_t len) const;
+  /// Calls `visit(const Extent&)` for each per-OST disk extent of the file
+  /// range [offset, offset+len), in file order, allocating nothing.
+  /// Contiguous pieces on the same OST are coalesced into one extent.
+  template <typename Visit>
+  void for_each_extent(std::int64_t offset, std::int64_t len, Visit&& visit) const;
+
+  /// The extents of for_each_extent, collected.
+  [[nodiscard]] std::vector<Extent> map(std::int64_t offset, std::int64_t len) const {
+    std::vector<Extent> out;
+    for_each_extent(offset, len, [&out](const Extent& e) { out.push_back(e); });
+    return out;
+  }
 
   /// Disk address where this file's object on stripe slot `idx` starts.
   [[nodiscard]] std::int64_t object_base(std::size_t idx) const { return bases_[idx]; }
@@ -43,5 +52,32 @@ class FileLayout {
   std::vector<std::int64_t> bases_;
   std::int64_t stripe_size_ = 1 << 20;
 };
+
+template <typename Visit>
+void FileLayout::for_each_extent(std::int64_t offset, std::int64_t len, Visit&& visit) const {
+  const auto n = static_cast<std::int64_t>(osts_.size());
+  Extent cur;
+  bool open = false;  // `cur` holds an extent not yet handed out
+  std::int64_t pos = offset;
+  std::int64_t remaining = len;
+  while (remaining > 0) {
+    const std::int64_t stripe_index = pos / stripe_size_;
+    const auto slot = static_cast<std::size_t>(stripe_index % n);  // which OST
+    const std::int64_t row = stripe_index / n;  // object-local stripe row
+    const std::int64_t in_stripe = pos % stripe_size_;
+    const std::int64_t take = std::min(remaining, stripe_size_ - in_stripe);
+    const std::int64_t disk_off = bases_[slot] + row * stripe_size_ + in_stripe;
+    if (open && cur.ost == osts_[slot] && cur.disk_offset + cur.len == disk_off) {
+      cur.len += take;  // coalesce contiguous pieces
+    } else {
+      if (open) visit(static_cast<const Extent&>(cur));
+      cur = Extent{osts_[slot], disk_off, take};
+      open = true;
+    }
+    pos += take;
+    remaining -= take;
+  }
+  if (open) visit(static_cast<const Extent&>(cur));
+}
 
 }  // namespace qif::pfs

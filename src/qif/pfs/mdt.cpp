@@ -24,30 +24,31 @@ std::string MdtServer::parent_dir(const std::string& path) const {
   return path.substr(0, pos);
 }
 
-void MdtServer::create(const std::string& path, int stripe_count, int stripe_hint,
+void MdtServer::create(std::string path, int stripe_count, int stripe_hint,
                        Callback cb) {
-  enqueue(Task{Kind::kCreate, path, kInvalidFile, stripe_count, stripe_hint, sim_.now(),
+  enqueue(Task{Kind::kCreate, std::move(path), kInvalidFile, stripe_count, stripe_hint, sim_.now(),
                std::move(cb)});
 }
-void MdtServer::open(const std::string& path, Callback cb) {
-  enqueue(Task{Kind::kOpen, path, kInvalidFile, 0, -1, sim_.now(), std::move(cb)});
+void MdtServer::open(std::string path, Callback cb) {
+  enqueue(Task{Kind::kOpen, std::move(path), kInvalidFile, 0, -1, sim_.now(), std::move(cb)});
 }
-void MdtServer::stat(const std::string& path, Callback cb) {
-  enqueue(Task{Kind::kStat, path, kInvalidFile, 0, -1, sim_.now(), std::move(cb)});
+void MdtServer::stat(std::string path, Callback cb) {
+  enqueue(Task{Kind::kStat, std::move(path), kInvalidFile, 0, -1, sim_.now(), std::move(cb)});
 }
 void MdtServer::close(FileId file, Callback cb) {
   enqueue(Task{Kind::kClose, {}, file, 0, -1, sim_.now(), std::move(cb)});
 }
-void MdtServer::unlink(const std::string& path, Callback cb) {
-  enqueue(Task{Kind::kUnlink, path, kInvalidFile, 0, -1, sim_.now(), std::move(cb)});
+void MdtServer::unlink(std::string path, Callback cb) {
+  enqueue(Task{Kind::kUnlink, std::move(path), kInvalidFile, 0, -1, sim_.now(), std::move(cb)});
 }
-void MdtServer::mkdir(const std::string& path, Callback cb) {
-  enqueue(Task{Kind::kMkdir, path, kInvalidFile, 0, -1, sim_.now(), std::move(cb)});
+void MdtServer::mkdir(std::string path, Callback cb) {
+  enqueue(Task{Kind::kMkdir, std::move(path), kInvalidFile, 0, -1, sim_.now(), std::move(cb)});
 }
 
 void MdtServer::note_size(FileId file, std::int64_t new_size) {
-  if (auto it = by_id_.find(file); it != by_id_.end()) {
-    it->second->size = std::max(it->second->size, new_size);
+  if (file < 0 || static_cast<std::size_t>(file) >= by_id_.size()) return;
+  if (Inode* ino = by_id_[static_cast<std::size_t>(file)]) {
+    ino->size = std::max(ino->size, new_size);
   }
 }
 
@@ -134,7 +135,10 @@ void MdtServer::run_task(Task t) {
         }
         ino.layout = FileLayout(ino.id, std::move(osts), default_stripe_size_,
                                 disk_.params().capacity_bytes);
-        by_id_[ino.id] = &ino;
+        if (static_cast<std::size_t>(ino.id) >= by_id_.size()) {
+          by_id_.resize(static_cast<std::size_t>(ino.id) + 1, nullptr);
+        }
+        by_id_[static_cast<std::size_t>(ino.id)] = &ino;
         dirs_[parent_dir(t.path)] += 1;
       }
       result.ok = true;
@@ -169,7 +173,7 @@ void MdtServer::run_task(Task t) {
       auto it = inodes_.find(t.path);
       if (it != inodes_.end()) {
         dirs_[parent_dir(t.path)] -= 1;
-        by_id_.erase(it->second.id);
+        by_id_[static_cast<std::size_t>(it->second.id)] = nullptr;
         inodes_.erase(it);
         result.ok = true;
       }
@@ -190,22 +194,22 @@ void MdtServer::run_task(Task t) {
         (disk_.params().capacity_bytes / 2);
     disk_.submit(/*is_write=*/false, std::max<std::int64_t>(block, 0),
                  params_.inode_block_bytes,
-                 [this, t = std::move(t), result, modifying]() mutable {
-                   finish_task(t, result, modifying);
+                 [this, cb = std::move(t.cb), result, modifying]() mutable {
+                   finish_task(std::move(cb), result, modifying);
                  });
     return;
   }
-  finish_task(t, result, modifying);
+  finish_task(std::move(t.cb), result, modifying);
 }
 
-void MdtServer::finish_task(const Task& t, MetaResult result, bool modifying) {
+void MdtServer::finish_task(Callback cb, const MetaResult& result, bool modifying) {
   if (modifying) {
     counters_.modifying_ops += 1;
     // The service thread stays pinned until the transaction's group commit
     // reaches the journal — the ldiskfs/jbd2 behaviour that lets a create
     // storm starve metadata *reads* of service threads (Table I row 3's
     // sensitivity to mdt write noise).
-    await_commit([this, result, cb = t.cb]() {
+    await_commit([this, result, cb = std::move(cb)]() {
       counters_.ops_completed += 1;
       if (cb) cb(result);
       --busy_threads_;
@@ -214,7 +218,7 @@ void MdtServer::finish_task(const Task& t, MetaResult result, bool modifying) {
     return;
   }
   counters_.ops_completed += 1;
-  if (t.cb) t.cb(result);
+  if (cb) cb(result);
   --busy_threads_;
   dispatch();
 }

@@ -78,12 +78,12 @@ class MdtServer {
   /// convention IOR deployments use to balance file-per-process runs);
   /// -1 hashes the path, which is balanced in expectation and — unlike a
   /// shared round-robin cursor — independent of concurrent jobs' creates.
-  void create(const std::string& path, int stripe_count, int stripe_hint, Callback cb);
-  void open(const std::string& path, Callback cb);
-  void stat(const std::string& path, Callback cb);
+  void create(std::string path, int stripe_count, int stripe_hint, Callback cb);
+  void open(std::string path, Callback cb);
+  void stat(std::string path, Callback cb);
   void close(FileId file, Callback cb);
-  void unlink(const std::string& path, Callback cb);
-  void mkdir(const std::string& path, Callback cb);
+  void unlink(std::string path, Callback cb);
+  void mkdir(std::string path, Callback cb);
 
   /// Records a size update (piggybacked on client writes; no MDS queueing).
   void note_size(FileId file, std::int64_t new_size);
@@ -116,7 +116,7 @@ class MdtServer {
   void enqueue(Task t);
   void dispatch();
   void run_task(Task t);
-  void finish_task(const Task& t, MetaResult result, bool modifying);
+  void finish_task(Callback cb, const MetaResult& result, bool modifying);
   void await_commit(std::function<void()> on_committed);
   void do_commit();
   sim::SimDuration cpu_cost(Kind k);
@@ -130,7 +130,9 @@ class MdtServer {
   std::int64_t default_stripe_size_;
 
   std::map<std::string, Inode> inodes_;
-  std::map<FileId, Inode*> by_id_;  ///< node pointers are stable in std::map
+  /// Inode of each live file, indexed by FileId (ids are dense from 1);
+  /// null once unlinked.  Node pointers are stable in std::map.
+  std::vector<Inode*> by_id_;
   std::map<std::string, std::int64_t> dirs_;  ///< dir path -> entry count
   FileId next_file_ = 1;
   std::vector<std::int64_t> ost_objects_;  ///< allocated objects per OST

@@ -105,54 +105,50 @@ std::uint64_t NetworkFabric::messages_dropped() const {
   return n;
 }
 
-void NetworkFabric::rpc(NodeId client, int server_port, std::int64_t request_payload,
-                        std::int64_t response_payload,
-                        std::function<void(std::function<void()>)> serve,
-                        std::function<void()> on_complete) {
+void NetworkFabric::rpc(NodeId client, int server_port, RpcRequest request,
+                        RpcReplyFn on_reply) {
   assert(client >= 0 && client < n_client_nodes());
   assert(server_port >= 0 && server_port < n_server_ports());
-  if (!on_complete) on_complete = [] {};  // fire-and-forget RPCs are legal
-  const std::int64_t req_bytes = request_payload + params_.rpc_header_bytes;
-  const std::int64_t resp_bytes = response_payload + params_.rpc_header_bytes;
-
-  auto* ingress = server_ingress_[server_port].get();
-  auto* egress = server_egress_[server_port].get();
   const std::int32_t dst_tag = lanes_ != nullptr ? server_port : -1;
-
   client_egress_[client]->send(
-      req_bytes, dst_tag,
-      [this, client, server_port, ingress, egress, req_bytes, resp_bytes,
-       serve = std::move(serve), on_complete = std::move(on_complete)]() mutable {
+      request.request_payload() + params_.rpc_header_bytes, dst_tag,
+      [this, client, server_port, request = std::move(request),
+       on_reply = std::move(on_reply)]() mutable {
         // From here on everything runs on the server port's engine, until
         // the response propagation hop crosses back to the client.
-        ingress->transfer(req_bytes, [this, client, server_port, egress, resp_bytes,
-                                      serve = std::move(serve),
-                                      on_complete = std::move(on_complete)]() mutable {
-          serve([this, client, server_port, egress, resp_bytes,
-                 on_complete = std::move(on_complete)]() mutable {
-            egress->transfer(
-                resp_bytes, [this, client, server_port,
-                             on_complete = std::move(on_complete)]() mutable {
-                  // Response propagation back to the client host, delivered
-                  // under the client node's entity context.
-                  if (lanes_ != nullptr) {
-                    const int src = port_lane_[static_cast<std::size_t>(server_port)];
-                    const int dst = node_lane_[static_cast<std::size_t>(client)];
-                    const std::uint32_t ctx = node_ctx(client);
-                    if (src != dst) {
-                      post_cross(src, dst, ctx, params_.latency,
-                                 std::move(on_complete));
-                    } else {
-                      lanes_->lane(src).schedule_after_ctx(params_.latency, ctx,
-                                                           std::move(on_complete));
-                    }
-                    return;
-                  }
-                  port_sim(server_port).schedule_after(params_.latency,
-                                                       std::move(on_complete));
-                });
-          });
-        });
+        server_ingress_[server_port]->transfer(
+            request.request_payload() + params_.rpc_header_bytes,
+            [this, client, server_port, request = std::move(request),
+             on_reply = std::move(on_reply)]() mutable {
+              const std::int64_t response_payload = request.response_payload();
+              server_(std::move(request), RpcDone(this, client, server_port,
+                                                  response_payload, std::move(on_reply)));
+            });
+      });
+}
+
+void NetworkFabric::respond(NodeId client, int server_port, std::int64_t response_payload,
+                            const MetaResult& reply, RpcReplyFn on_reply) {
+  server_egress_[server_port]->transfer(
+      response_payload + params_.rpc_header_bytes,
+      [this, client, server_port, reply, on_reply = std::move(on_reply)]() mutable {
+        // Response propagation back to the client host, delivered under the
+        // client node's entity context.
+        sim::InlineTask deliver = [reply, on_reply = std::move(on_reply)]() mutable {
+          if (on_reply) on_reply(reply);
+        };
+        if (lanes_ != nullptr) {
+          const int src = port_lane_[static_cast<std::size_t>(server_port)];
+          const int dst = node_lane_[static_cast<std::size_t>(client)];
+          const std::uint32_t ctx = node_ctx(client);
+          if (src != dst) {
+            post_cross(src, dst, ctx, params_.latency, std::move(deliver));
+          } else {
+            lanes_->lane(src).schedule_after_ctx(params_.latency, ctx, std::move(deliver));
+          }
+          return;
+        }
+        port_sim(server_port).schedule_after(params_.latency, std::move(deliver));
       });
 }
 

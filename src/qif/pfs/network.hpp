@@ -17,11 +17,13 @@
 #include <string>
 #include <vector>
 
+#include "qif/pfs/mdt.hpp"
+#include "qif/pfs/types.hpp"
 #include "qif/sim/fair_link.hpp"
+#include "qif/sim/inline_task.hpp"
 #include "qif/sim/lanes.hpp"
 #include "qif/sim/pipe.hpp"
 #include "qif/sim/simulation.hpp"
-#include "qif/pfs/types.hpp"
 
 namespace qif::pfs {
 
@@ -29,6 +31,84 @@ struct NetworkParams {
   double bytes_per_second = 1e9;                       ///< per-port capacity
   sim::SimDuration latency = 60 * sim::kMicrosecond;   ///< per-message propagation
   std::int64_t rpc_header_bytes = 256;                 ///< framing per RPC message
+};
+
+enum class RpcKind : std::uint8_t {
+  kRead,       ///< OST read
+  kWrite,      ///< OST write through the write-back cache
+  kWriteSync,  ///< OST write straight to the media (flush-on-close)
+  kCreate,     ///< MDS namespace ops from here on
+  kOpen,
+  kStat,
+  kClose,
+  kUnlink,
+  kMkdir,
+};
+
+/// Body of a metadata message, each way.
+inline constexpr std::int64_t kMetaPayloadBytes = 256;
+
+/// The server's half of an RPC.  It travels by value through every hop, so
+/// the server side never reads memory its client may rewrite: a straggler
+/// of a settled or superseded attempt that crosses an event-lane boundary
+/// touches only its own copy.  Its kind fixes the wire payloads.
+struct RpcRequest {
+  RpcKind kind = RpcKind::kRead;
+  OstId ost = 0;                 ///< data: target OST
+  std::int64_t disk_offset = 0;  ///< data: address on the OST's disk
+  std::int64_t len = 0;          ///< data: bytes moved
+  // Metadata body.
+  std::int32_t stripes = 0;       ///< create: stripe count (0 = all OSTs)
+  std::int32_t stripe_hint = -1;  ///< create: first OST, -1 = hashed
+  FileId file = kInvalidFile;     ///< close
+  std::string path;               ///< every metadata kind but close
+
+  [[nodiscard]] bool is_metadata() const { return kind >= RpcKind::kCreate; }
+  /// Client -> server payload: the data of a write, or a metadata body.
+  [[nodiscard]] std::int64_t request_payload() const {
+    if (is_metadata()) return kMetaPayloadBytes;
+    return kind == RpcKind::kRead ? 0 : len;
+  }
+  /// Server -> client payload: the data of a read, or a metadata body.
+  [[nodiscard]] std::int64_t response_payload() const {
+    if (is_metadata()) return kMetaPayloadBytes;
+    return kind == RpcKind::kRead ? len : 0;
+  }
+};
+
+/// Client continuation of an RPC, run on the client's engine when the
+/// response lands.  The reply carries a metadata op's result by value (data
+/// RPCs reply with an empty MetaResult).  Its 24-byte buffer holds a client
+/// op handle; it must stay small because every hop's closure carries it.
+using RpcReplyFn = sim::InlineFunction<void(const MetaResult&), 24>;
+
+class NetworkFabric;
+
+/// The server's handle on an in-flight RPC: calling it (once) sends the
+/// response.  It is a plain value — the server may park it in a queue or
+/// move it into an InlineTask.
+class RpcDone {
+ public:
+  /// Responds with an empty reply (data RPCs).
+  void operator()() { (*this)(MetaResult{}); }
+  /// Responds with `reply` (metadata RPCs).
+  void operator()(const MetaResult& reply);
+
+ private:
+  friend class NetworkFabric;
+  RpcDone(NetworkFabric* fabric, NodeId client, int port, std::int64_t response_payload,
+          RpcReplyFn on_reply)
+      : fabric_(fabric),
+        client_(client),
+        port_(port),
+        response_payload_(response_payload),
+        on_reply_(std::move(on_reply)) {}
+
+  NetworkFabric* fabric_;
+  NodeId client_;
+  int port_;
+  std::int64_t response_payload_;
+  RpcReplyFn on_reply_;
 };
 
 class NetworkFabric {
@@ -50,14 +130,18 @@ class NetworkFabric {
   NetworkFabric(const NetworkFabric&) = delete;
   NetworkFabric& operator=(const NetworkFabric&) = delete;
 
-  /// Runs a full RPC.  `serve(done)` is invoked on the server once the
-  /// request arrives; the server calls `done()` when its work completes,
-  /// which triggers the response transfer; `on_complete` fires at the
-  /// client when the response lands.
-  void rpc(NodeId client, int server_port, std::int64_t request_payload,
-           std::int64_t response_payload,
-           std::function<void(std::function<void()>)> serve,
-           std::function<void()> on_complete);
+  /// Server side of every port: invoked on the port's engine once a
+  /// request has arrived, with the request and the RpcDone to call when the
+  /// work completes.  Installed once at setup (the cluster dispatches to
+  /// its OSTs and MDS).
+  using Server = std::function<void(RpcRequest request, RpcDone done)>;
+  void set_server(Server server) { server_ = std::move(server); }
+
+  /// Runs a full RPC: the request payload over the client's egress pipe
+  /// and the port's ingress link, the server's work, the response payload
+  /// over the port's egress link, then `on_reply` on the client's engine
+  /// (an empty `on_reply` makes a fire-and-forget RPC).
+  void rpc(NodeId client, int server_port, RpcRequest request, RpcReplyFn on_reply);
 
   [[nodiscard]] int n_client_nodes() const { return static_cast<int>(client_egress_.size()); }
   [[nodiscard]] int n_server_ports() const { return static_cast<int>(server_ingress_.size()); }
@@ -106,6 +190,11 @@ class NetworkFabric {
   /// delivered event executes under entity context `ctx`.
   void post_cross(int src_lane, int dst_lane, std::uint32_t ctx,
                   sim::SimDuration latency, sim::InlineTask fn);
+  /// RpcDone's body: the response transfer and the delivery back to the
+  /// client.
+  void respond(NodeId client, int server_port, std::int64_t response_payload,
+               const MetaResult& reply, RpcReplyFn on_reply);
+  friend class RpcDone;
 
   sim::Simulation* sim_ = nullptr;  // classic mode: the single engine
   sim::LaneGroup* lanes_ = nullptr;
@@ -115,6 +204,11 @@ class NetworkFabric {
   std::vector<std::unique_ptr<sim::Pipe>> client_egress_;
   std::vector<std::unique_ptr<sim::FairLink>> server_ingress_;
   std::vector<std::unique_ptr<sim::FairLink>> server_egress_;
+  Server server_;
 };
+
+inline void RpcDone::operator()(const MetaResult& reply) {
+  fabric_->respond(client_, port_, response_payload_, reply, std::move(on_reply_));
+}
 
 }  // namespace qif::pfs

@@ -3,8 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <string>
 
 #include "qif/pfs/disk.hpp"
@@ -33,7 +31,7 @@ class Ost {
 
   /// Read.  By default a cold media access; with the opt-in server read
   /// cache enabled, recently written ranges are served at memory speed.
-  void read(std::int64_t disk_offset, std::int64_t len, std::function<void()> on_done) {
+  void read(std::int64_t disk_offset, std::int64_t len, sim::InlineTask on_done) {
     if (read_cache_.lookup(disk_offset, len)) {
       const auto copy =
           sim::from_seconds(static_cast<double>(len) / memcpy_rate_bps_);
@@ -44,7 +42,7 @@ class Ost {
   }
 
   /// Buffered write through the write-back cache.
-  void write(std::int64_t disk_offset, std::int64_t len, std::function<void()> on_ack) {
+  void write(std::int64_t disk_offset, std::int64_t len, sim::InlineTask on_ack) {
     read_cache_.insert(disk_offset, len);
     cache_.write(disk_offset, len, std::move(on_ack));
   }
@@ -55,7 +53,7 @@ class Ost {
   /// makes ior-hard-write and mdtest-hard's 3901-byte bodies disk-bound and
   /// exquisitely sensitive to whatever else the disk is doing — Table I
   /// rows 5 and 7).
-  void write_sync(std::int64_t disk_offset, std::int64_t len, std::function<void()> on_done) {
+  void write_sync(std::int64_t disk_offset, std::int64_t len, sim::InlineTask on_done) {
     // The sync write carries these bytes itself; drop any still-buffered
     // copy so they do not hit the media twice.
     read_cache_.insert(disk_offset, len);

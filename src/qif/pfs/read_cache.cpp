@@ -4,39 +4,10 @@
 
 namespace qif::pfs {
 
-void ReadCache::erase_range(std::int64_t lo, std::int64_t hi) {
-  // Trim a predecessor overlapping the range.
-  if (auto it = extents_.lower_bound(lo); it != extents_.begin()) {
-    auto prev = std::prev(it);
-    const std::int64_t pend = prev->first + prev->second;
-    if (pend > lo) {
-      const std::int64_t cut = std::min(pend, hi) - lo;
-      prev->second = lo - prev->first;
-      cached_bytes_ -= cut;
-      if (pend > hi) extents_[hi] = pend - hi;
-      if (prev->second == 0) extents_.erase(prev);
-    }
-  }
-  for (auto it = extents_.lower_bound(lo); it != extents_.end() && it->first < hi;
-       it = extents_.lower_bound(lo)) {
-    const std::int64_t end = it->first + it->second;
-    if (end <= hi) {
-      cached_bytes_ -= it->second;
-      extents_.erase(it);
-    } else {
-      cached_bytes_ -= hi - it->first;
-      const std::int64_t tail = end - hi;
-      extents_.erase(it);
-      extents_[hi] = tail;
-      break;
-    }
-  }
-}
-
 void ReadCache::insert(std::int64_t offset, std::int64_t len) {
   if (!enabled() || len <= 0) return;
   // Replace any overlap, then add the fresh extent (keeps accounting exact).
-  erase_range(offset, offset + len);
+  cached_bytes_ -= extents_.erase_range(offset, offset + len);
   // Coalesce with neighbours.
   std::int64_t off = offset;
   std::int64_t l = len;
@@ -52,17 +23,20 @@ void ReadCache::insert(std::int64_t offset, std::int64_t len) {
     l += it->second;
     extents_.erase(it);
   }
-  extents_[off] = l;
+  extents_.set(off, l);
   cached_bytes_ += len;
   fifo_.emplace_back(offset, len);
   evict_to_budget();
 }
 
 void ReadCache::evict_to_budget() {
-  while (cached_bytes_ > params_.capacity_bytes && !fifo_.empty()) {
-    const auto [off, len] = fifo_.front();
-    fifo_.pop_front();
-    erase_range(off, off + len);
+  while (cached_bytes_ > params_.capacity_bytes && fifo_head_ < fifo_.size()) {
+    const auto [off, len] = fifo_[fifo_head_++];
+    cached_bytes_ -= extents_.erase_range(off, off + len);
+  }
+  if (fifo_head_ * 2 >= fifo_.size()) {
+    fifo_.erase(fifo_.begin(), fifo_.begin() + static_cast<std::ptrdiff_t>(fifo_head_));
+    fifo_head_ = 0;
   }
 }
 

@@ -14,8 +14,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
+#include <utility>
+#include <vector>
+
+#include "qif/pfs/extent_map.hpp"
 
 namespace qif::pfs {
 
@@ -43,11 +45,14 @@ class ReadCache {
 
  private:
   void evict_to_budget();
-  void erase_range(std::int64_t lo, std::int64_t hi);
 
   ReadCacheParams params_;
-  std::map<std::int64_t, std::int64_t> extents_;  // offset -> len, coalesced
-  std::deque<std::pair<std::int64_t, std::int64_t>> fifo_;  // insertion order
+  ExtentMap extents_;  // coalesced
+  /// (offset, len) in insertion order: live entries are fifo_[fifo_head_..].
+  /// Popping advances the head; the consumed prefix is dropped once it is
+  /// half the vector, so the buffer keeps its capacity.
+  std::vector<std::pair<std::int64_t, std::int64_t>> fifo_;
+  std::size_t fifo_head_ = 0;
   std::int64_t cached_bytes_ = 0;
   std::int64_t hits_ = 0;
   std::int64_t misses_ = 0;

@@ -9,7 +9,9 @@ WritebackCache::WritebackCache(sim::Simulation& sim, DiskModel& disk, WritebackP
     : sim_(sim), disk_(disk), params_(params) {}
 
 void WritebackCache::write(std::int64_t disk_offset, std::int64_t len,
-                           std::function<void()> on_durable_ack) {
+                           sim::InlineTask on_durable_ack) {
+  // The ack is always scheduled, callback or not.
+  if (!on_durable_ack) on_durable_ack = [] {};
   PendingWrite w{disk_offset, len, std::move(on_durable_ack), 0};
   // Fairness: once anyone is throttled, newcomers queue too.
   if (!throttle_queue_.empty() || dirty_bytes_ + len > params_.dirty_limit_bytes) {
@@ -48,13 +50,10 @@ void WritebackCache::admit(PendingWrite w) {
     len = std::max(off + len, it->first + it->second) - off;
     dirty_extents_.erase(it);
   }
-  dirty_extents_[off] = len;
+  dirty_extents_.set(off, len);
   dirty_bytes_ += len - erased;
   const auto copy_time = sim::from_seconds(static_cast<double>(w.len) / params_.memcpy_rate_bps);
-  sim_.schedule_after(params_.ack_overhead + copy_time,
-                      [fn = std::move(w.on_durable_ack)] {
-                        if (fn) fn();
-                      });
+  sim_.schedule_after(params_.ack_overhead + copy_time, std::move(w.on_durable_ack));
   kick_flusher();
 }
 
@@ -62,36 +61,7 @@ void WritebackCache::forget(std::int64_t disk_offset, std::int64_t len) {
   // Drop any still-dirty bytes of [disk_offset, disk_offset+len): the
   // caller is about to write them synchronously (fsync / commit-on-close),
   // so background-flushing them too would double the disk traffic.
-  const std::int64_t lo = disk_offset;
-  const std::int64_t hi = disk_offset + len;
-  // Trim a predecessor extent overlapping the range.
-  if (auto it = dirty_extents_.lower_bound(lo); it != dirty_extents_.begin()) {
-    auto prev = std::prev(it);
-    const std::int64_t pend = prev->first + prev->second;
-    if (pend > lo) {
-      const std::int64_t cut = std::min(pend, hi) - lo;
-      prev->second = lo - prev->first;  // keep only the head before the hole
-      dirty_bytes_ -= cut;
-      if (pend > hi) dirty_extents_[hi] = pend - hi;  // split tail survives
-      if (prev->second == 0) dirty_extents_.erase(prev);
-    }
-  }
-  // Remove or trim extents starting inside the range.
-  for (auto it = dirty_extents_.lower_bound(lo);
-       it != dirty_extents_.end() && it->first < hi;
-       it = dirty_extents_.lower_bound(lo)) {
-    const std::int64_t end = it->first + it->second;
-    if (end <= hi) {
-      dirty_bytes_ -= it->second;
-      dirty_extents_.erase(it);
-    } else {
-      dirty_bytes_ -= hi - it->first;
-      const std::int64_t tail = end - hi;
-      dirty_extents_.erase(it);
-      dirty_extents_[hi] = tail;
-      break;
-    }
-  }
+  dirty_bytes_ -= dirty_extents_.erase_range(disk_offset, disk_offset + len);
 }
 
 void WritebackCache::kick_flusher() {
@@ -131,7 +101,7 @@ void WritebackCache::start_flushes() {
       const std::int64_t new_off = it->first + chunk;
       const std::int64_t new_len = it->second - chunk;
       dirty_extents_.erase(it);
-      dirty_extents_[new_off] = new_len;
+      dirty_extents_.set(new_off, new_len);
     }
     flush_cursor_ = chunk_off + chunk;
     ++flush_inflight_;
@@ -172,7 +142,7 @@ void WritebackCache::drain_throttle_queue() {
   }
   if (!throttle_queue_.empty() && flush_inflight_ == 0 && dirty_extents_.empty()) {
     PendingWrite w = std::move(throttle_queue_.front());
-    throttle_queue_.pop_front();
+    throttle_queue_.erase(throttle_queue_.begin());
     admit(std::move(w));
   }
 }

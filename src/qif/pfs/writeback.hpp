@@ -15,11 +15,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <map>
+#include <vector>
 
 #include "qif/pfs/disk.hpp"
+#include "qif/pfs/extent_map.hpp"
 #include "qif/sim/simulation.hpp"
 
 namespace qif::pfs {
@@ -52,7 +51,7 @@ class WritebackCache {
   /// `on_durable_ack` fires when the write would be acknowledged to the
   /// client: after a RAM copy if the cache has room, or after enough flush
   /// progress if the cache is throttled.
-  void write(std::int64_t disk_offset, std::int64_t len, std::function<void()> on_durable_ack);
+  void write(std::int64_t disk_offset, std::int64_t len, sim::InlineTask on_durable_ack);
 
   /// Discards still-dirty bytes in [disk_offset, disk_offset+len) — used
   /// by the synchronous flush-on-close path, which writes those bytes to
@@ -69,7 +68,7 @@ class WritebackCache {
   struct PendingWrite {
     std::int64_t disk_offset;
     std::int64_t len;
-    std::function<void()> on_durable_ack;
+    sim::InlineTask on_durable_ack;
     std::int64_t credit = 0;  ///< flush-progress share earned while waiting
   };
 
@@ -89,10 +88,10 @@ class WritebackCache {
   /// load-bearing: concurrent writers interleave their appends in arrival
   /// order, and flushing in that order would pay a seek per chunk; merged
   /// per-file runs flush sequentially, a seek only when switching files.
-  std::map<std::int64_t, std::int64_t> dirty_extents_;  // offset -> len
+  ExtentMap dirty_extents_;
   std::int64_t flush_cursor_ = 0;  ///< C-SCAN position over dirty extents
   bool lazy_flush_armed_ = false;  ///< a delayed background flush is scheduled
-  std::deque<PendingWrite> throttle_queue_;
+  std::vector<PendingWrite> throttle_queue_;  ///< arrival order; short
 
   std::int64_t total_absorbed_ = 0;
   std::int64_t total_flushed_ = 0;

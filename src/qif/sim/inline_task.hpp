@@ -1,4 +1,5 @@
-// Allocation-free type-erased closure for the event engine.
+// Allocation-free type-erased closures for the event engine and the PFS op
+// path.
 //
 // Every scheduled event used to carry a std::function<void()>, which heap-
 // allocates for any capture larger than the library's tiny SSO buffer
@@ -6,14 +7,20 @@
 // layer schedules.  At millions of events per campaign that is a malloc
 // and a free per event, on the system's permanent hot path.
 //
-// InlineTask stores the callable inline in a fixed 128-byte buffer, sized
-// for the largest closure scheduled today (MdtServer::dispatch's
-// this + Task ≈ 104 bytes, see DESIGN.md) with headroom.  There is no heap
-// fallback *by construction*: a closure that outgrows the buffer is a
-// compile error, so the zero-allocation property cannot silently rot.  The
-// type is move-only (closures own moved-in state such as std::function
-// members) and relocation is a move-construct + destroy pair dispatched
-// through a static ops table, never a heap round trip.
+// InlineFunction<R(Args...), N> stores the callable inline in a fixed
+// N-byte buffer.  There is no heap fallback *by construction*: a closure
+// that outgrows the buffer is a compile error, so the zero-allocation
+// property cannot silently rot.  The type is move-only (closures own
+// moved-in state) and relocation is a move-construct + destroy pair
+// dispatched through a static ops table, never a heap round trip.
+//
+// InlineTask is the event closure: void(), 128 bytes, sized for the
+// largest closure scheduled today — the fabric's request hop, which
+// carries the fabric, both endpoints, the by-value RpcRequest and the
+// reply continuation in 120 bytes (128 with alignment; see DESIGN.md).
+// Smaller instantiations carry continuations that must themselves ride
+// inside an event closure: the PFS client's callbacks and the fabric's
+// reply continuation.
 #pragma once
 
 #include <cstddef>
@@ -23,26 +30,29 @@
 
 namespace qif::sim {
 
-class InlineTask {
- public:
-  /// Inline capture budget.  Raising it is cheap (events live in a pooled
-  /// slab, not on the stack); shrinking it below any live closure is a
-  /// compile error at the offending schedule site.
-  static constexpr std::size_t kStorageBytes = 128;
+template <typename Sig, std::size_t N>
+class InlineFunction;
 
-  InlineTask() noexcept = default;
-  InlineTask(std::nullptr_t) noexcept {}  // NOLINT(google-explicit-constructor)
+template <typename R, typename... Args, std::size_t N>
+class InlineFunction<R(Args...), N> {
+ public:
+  /// Inline capture budget.  Shrinking it below any live closure is a
+  /// compile error at the offending construction site.
+  static constexpr std::size_t kStorageBytes = N;
+
+  InlineFunction() noexcept = default;
+  InlineFunction(std::nullptr_t) noexcept {}  // NOLINT(google-explicit-constructor)
 
   template <typename F,
             typename Fn = std::remove_cvref_t<F>,
-            typename = std::enable_if_t<!std::is_same_v<Fn, InlineTask> &&
+            typename = std::enable_if_t<!std::is_same_v<Fn, InlineFunction> &&
                                         !std::is_same_v<Fn, std::nullptr_t> &&
-                                        std::is_invocable_r_v<void, Fn&>>>
-  InlineTask(F&& f) {  // NOLINT(google-explicit-constructor)
+                                        std::is_invocable_r_v<R, Fn&, Args...>>>
+  InlineFunction(F&& f) {  // NOLINT(google-explicit-constructor)
     static_assert(sizeof(Fn) <= kStorageBytes,
-                  "closure exceeds InlineTask's inline buffer; shrink its "
-                  "captures (or box the large member) — there is deliberately "
-                  "no heap fallback");
+                  "closure exceeds the inline buffer; shrink its captures (or "
+                  "box the large member) — there is deliberately no heap "
+                  "fallback");
     static_assert(alignof(Fn) <= alignof(std::max_align_t),
                   "over-aligned closures are not supported");
     static_assert(std::is_nothrow_move_constructible_v<Fn>,
@@ -52,14 +62,14 @@ class InlineTask {
     ops_ = &kOpsFor<Fn>;
   }
 
-  InlineTask(InlineTask&& other) noexcept : ops_(other.ops_) {
+  InlineFunction(InlineFunction&& other) noexcept : ops_(other.ops_) {
     if (ops_ != nullptr) {
       ops_->relocate(other.storage_, storage_);
       other.ops_ = nullptr;
     }
   }
 
-  InlineTask& operator=(InlineTask&& other) noexcept {
+  InlineFunction& operator=(InlineFunction&& other) noexcept {
     if (this != &other) {
       reset();
       ops_ = other.ops_;
@@ -71,13 +81,13 @@ class InlineTask {
     return *this;
   }
 
-  InlineTask(const InlineTask&) = delete;
-  InlineTask& operator=(const InlineTask&) = delete;
+  InlineFunction(const InlineFunction&) = delete;
+  InlineFunction& operator=(const InlineFunction&) = delete;
 
-  ~InlineTask() { reset(); }
+  ~InlineFunction() { reset(); }
 
   /// Invokes the stored closure.  Precondition: non-empty.
-  void operator()() { ops_->invoke(storage_); }
+  R operator()(Args... args) { return ops_->invoke(storage_, std::forward<Args>(args)...); }
 
   [[nodiscard]] explicit operator bool() const noexcept { return ops_ != nullptr; }
 
@@ -91,14 +101,14 @@ class InlineTask {
 
  private:
   struct Ops {
-    void (*invoke)(void*);
+    R (*invoke)(void*, Args&&...);
     void (*relocate)(void* src, void* dst) noexcept;  // move into dst, destroy src
     void (*destroy)(void*) noexcept;
   };
 
   template <typename Fn>
-  static void invoke_impl(void* p) {
-    (*static_cast<Fn*>(p))();
+  static R invoke_impl(void* p, Args&&... args) {
+    return (*static_cast<Fn*>(p))(std::forward<Args>(args)...);
   }
   template <typename Fn>
   static void relocate_impl(void* src, void* dst) noexcept {
@@ -114,8 +124,13 @@ class InlineTask {
   template <typename Fn>
   static constexpr Ops kOpsFor{&invoke_impl<Fn>, &relocate_impl<Fn>, &destroy_impl<Fn>};
 
-  const Ops* ops_ = nullptr;
+  // Storage first: sizeof is N + 8 rounded to the alignment, so the small
+  // continuation types stay small.
   alignas(std::max_align_t) std::byte storage_[kStorageBytes];
+  const Ops* ops_ = nullptr;
 };
+
+/// The event closure type.
+using InlineTask = InlineFunction<void(), 128>;
 
 }  // namespace qif::sim

@@ -19,13 +19,14 @@ std::uint32_t Simulation::acquire_slot() {
   }
   assert(slots_.size() < kNil && "slot slab exhausted");
   slots_.emplace_back();
+  heap_pos_.push_back(kNil);
   return static_cast<std::uint32_t>(slots_.size() - 1);
 }
 
 void Simulation::release_slot(std::uint32_t idx) {
   Slot& s = slots_[idx];
   s.fn.reset();
-  s.heap_pos = kNil;
+  heap_pos_[idx] = kNil;
   ++s.gen;  // invalidate every outstanding EventId pointing here
   s.next_free = free_head_;
   free_head_ = idx;
@@ -37,7 +38,7 @@ void Simulation::release_slot(std::uint32_t idx) {
 
 void Simulation::place(std::uint32_t pos, HeapEntry entry) {
   heap_[pos] = entry;
-  slots_[entry.slot].heap_pos = pos;
+  heap_pos_[entry.slot] = pos;
 }
 
 void Simulation::sift_up(std::uint32_t pos, HeapEntry entry) {
@@ -126,8 +127,8 @@ void Simulation::cancel(EventId id) {
   if (idx >= slots_.size()) return;  // never a live handle of this engine
   Slot& s = slots_[idx];
   if (s.gen != static_cast<std::uint32_t>(id)) return;  // fired/cancelled/reused
-  assert(s.heap_pos != kNil && "live generation must be queued");
-  heap_erase(s.heap_pos);
+  assert(heap_pos_[idx] != kNil && "live generation must be queued");
+  heap_erase(heap_pos_[idx]);
   release_slot(idx);
 }
 
@@ -165,12 +166,12 @@ bool Simulation::check_invariants() const {
     if (i > 0 && precedes(heap_[i], heap_[(i - 1) / 4])) return false;
     const HeapEntry& e = heap_[i];
     if (e.slot >= slots_.size()) return false;
-    if (slots_[e.slot].heap_pos != i) return false;
+    if (heap_pos_[e.slot] != i) return false;
   }
   // Free list: every entry unqueued, no cycles, and the counts add up.
   std::size_t free_count = 0;
   for (std::uint32_t idx = free_head_; idx != kNil; idx = slots_[idx].next_free) {
-    if (idx >= slots_.size() || slots_[idx].heap_pos != kNil) return false;
+    if (idx >= slots_.size() || heap_pos_[idx] != kNil) return false;
     if (++free_count > slots_.size()) return false;  // cycle
   }
   return heap_.size() + free_count == slots_.size();

@@ -44,13 +44,16 @@
 //   * Closures live in InlineTask slots inside a pooled slab; scheduling
 //     never heap-allocates in steady state (freed slots are recycled
 //     through a free list).
-//   * The heap itself holds 24-byte (when, seq, slot) entries, so sift
-//     operations move small PODs and comparisons never touch the slab.
-//     4-ary layout halves the tree depth vs. a binary heap and keeps the
-//     children of a node in one cache line.
-//   * cancel() is a true O(log n) heap removal via the slot's back-pointer
-//     into the heap — no tombstone list to scan at pop time, and nothing
-//     accumulates for ids cancelled after their event already fired.
+//   * The heap itself holds 32-byte (when, birth, origin, slot, sub)
+//     entries, so sift operations move small PODs and comparisons never
+//     touch the slab.  4-ary layout halves the tree depth vs. a binary heap
+//     and keeps the children of a node in one cache line.
+//   * cancel() is a true O(log n) heap removal via a back-pointer into the
+//     heap — no tombstone list to scan at pop time, and nothing
+//     accumulates for ids cancelled after their event already fired.  The
+//     back-pointers live in their own dense array, not in the slots, so a
+//     sift hop writes 4 bytes next to its neighbours' instead of a cold
+//     160-byte slab line.
 //   * An EventId packs (slot index + 1, slot generation); a stale id —
 //     already fired, already cancelled, or slot since reused — fails the
 //     generation check and cancel() is a no-op, preserving the historical
@@ -236,7 +239,6 @@ class Simulation {
 
   struct Slot {
     InlineTask fn;
-    std::uint32_t heap_pos = kNil;  // position in heap_, kNil when free
     std::uint32_t gen = 0;          // bumped on release; validates EventIds
     std::uint32_t next_free = kNil;
     std::uint32_t ctx = 0;  // entity context the event executes under
@@ -289,6 +291,7 @@ class Simulation {
   std::uint32_t cur_sub_ = 0;
   std::vector<HeapEntry> heap_;
   std::vector<Slot> slots_;
+  std::vector<std::uint32_t> heap_pos_;  // per slot: position in heap_, kNil when free
   std::uint32_t free_head_ = kNil;
 };
 

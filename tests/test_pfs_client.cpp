@@ -396,5 +396,72 @@ TEST(AdmissionGate, RetriesNeverReenterTheGate) {
   EXPECT_GT(std::get<2>(first), 0);      // the stall really forced timeouts
 }
 
+/// Gate double that answers asks from a script of waits (0 = admit), and
+/// admits everything once the script runs out.
+struct ScriptedGate final : AdmissionGate {
+  std::vector<sim::SimDuration> waits;
+  std::size_t asks = 0;
+
+  sim::SimDuration acquire(int, std::int64_t, sim::SimTime) override {
+    const std::size_t i = asks++;
+    return i < waits.size() ? waits[i] : 0;
+  }
+  [[nodiscard]] int concurrency_cap() const override { return 8; }
+  void on_chunk_complete(int, std::int64_t, sim::SimDuration) override {}
+};
+
+TEST(LateArrival, GateWakeUpAfterTheOpDrainedIsANoOp) {
+  // The first 2 MiB read parks its second chunk behind a 100 ms wake-up,
+  // but the first chunk's completion re-asks and is admitted, so the op
+  // drains long before the wake-up fires.  The follow-up read (same slot)
+  // parks its own second chunk for 200 ms; the stale wake-up must neither
+  // clear that park nor pump the new op.
+  const auto run = [](bool follow_up) {
+    sim::Simulation s;
+    ClusterConfig cfg;
+    cfg.seed = 9;
+    cfg.ost_disk.service_jitter = 0.0;
+    Cluster cluster(s, cfg);
+    PfsClient& client = cluster.make_client(0, 0, 0);
+    ScriptedGate gate;
+    const sim::SimDuration ms = sim::kMillisecond;
+    // op 1: chunk 0 admitted, chunk 1 parked, re-ask admitted;
+    // op 2: chunk 0 admitted, chunk 1 parked, re-ask parked again.
+    gate.waits = {0, 100 * ms, 0, 0, 200 * ms, 200 * ms};
+    client.set_gate(&gate);
+    const FileLayout layout(1, {0}, cfg.stripe_size, cfg.ost_disk.capacity_bytes);
+    const FileHandle fh{1, &layout, 0};
+    client.read(fh, 0, 2 << 20, [&] {
+      if (follow_up) client.read(fh, 2 << 20, 2 << 20, [] {});
+    });
+    while (client.stale_arrivals() == 0 && s.pending() > 0) s.run_until(s.next_event_time());
+    const sim::SimTime stale_at = s.now();
+    const std::size_t emitted_by_stale = cluster.trace_log().size();
+    s.run_all();
+    std::vector<trace::OpRecord> recs;
+    for (const auto& r : cluster.trace_log().records()) recs.push_back(r);
+    return std::make_tuple(recs, stale_at, emitted_by_stale, client.stale_arrivals(),
+                           client.op_slab_size(), gate.asks);
+  };
+  const auto [alone, alone_stale_at, alone_emitted, alone_stale, alone_slab, alone_asks] =
+      run(false);
+  ASSERT_EQ(alone.size(), 1u);
+  EXPECT_LT(alone[0].end, 100 * sim::kMillisecond);
+  EXPECT_EQ(alone_stale, 1);
+  EXPECT_EQ(alone_stale_at, 100 * sim::kMillisecond);
+  EXPECT_EQ(alone_asks, 3u);
+
+  const auto [recs, stale_at, emitted, stale, slab, asks] = run(true);
+  ASSERT_EQ(recs.size(), 2u);
+  EXPECT_EQ(slab, 1u);
+  EXPECT_EQ(stale, 1);
+  EXPECT_EQ(stale_at, 100 * sim::kMillisecond);
+  EXPECT_EQ(emitted, 1u);  // the new op was parked when the wake-up came
+  EXPECT_EQ(recs[1].start, recs[0].end);
+  // Its second chunk waited for its own wake-up, and nothing re-asked.
+  EXPECT_GE(recs[1].end, recs[1].start + 200 * sim::kMillisecond);
+  EXPECT_EQ(asks, 7u);
+}
+
 }  // namespace
 }  // namespace qif::pfs

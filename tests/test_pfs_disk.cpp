@@ -164,6 +164,23 @@ TEST(DiskModel, MergeRespectsSizeCap) {
   EXPECT_EQ(disk.counters().write_merges, 0);
 }
 
+TEST(DiskModel, RefusedFrontMergeKeepsEveryCompletion) {
+  // A front-merge candidate that would exceed the cap is left alone: both
+  // the queued request and the newcomer still complete.
+  sim::Simulation s;
+  DiskParams p = no_jitter();
+  p.max_merge_bytes = 8192;
+  DiskModel disk(s, p, 1);
+  int done = 0;
+  disk.submit(false, 100ll << 30, 4096, [&] { ++done; });  // busy
+  disk.submit(false, 4096, 8192, [&] { ++done; });
+  disk.submit(false, 0, 4096, [&] { ++done; });  // ends where the previous starts
+  s.run_all();
+  EXPECT_EQ(disk.counters().read_merges, 0);
+  EXPECT_EQ(done, 3);
+  EXPECT_EQ(disk.counters().reads_completed, 3);
+}
+
 TEST(DiskModel, SectorCountersMatchBytes) {
   sim::Simulation s;
   DiskModel disk(s, no_jitter(), 1);

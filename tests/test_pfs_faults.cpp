@@ -6,6 +6,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "qif/core/scenario.hpp"
 #include "qif/pfs/cluster.hpp"
@@ -361,6 +362,133 @@ TEST(FaultScenario, FaultFeaturesWidenMonitoredWindows) {
   core::ScenarioConfig healthy = fault_scenario(10);
   healthy.monitors = true;
   EXPECT_EQ(core::run_scenario(healthy).dim, monitor::MetricSchema::kPerServerDim);
+}
+
+// ---------------------------------------------------------------------------
+// Late arrivals: an event still holding a finished op's handle is a no-op,
+// also once the op's slot has been reused by a new op.
+// ---------------------------------------------------------------------------
+
+/// A 1 MiB read on OST 0, stalled for its first 20 ms, and optionally a
+/// 1 MiB read on healthy OST 1 issued from the first read's callback —
+/// either by the same client, so it takes over the finished op's slot, or
+/// (the control) by a second client on the same node.
+enum class FollowUp { kNone, kSameClient, kOtherClient };
+
+struct LateRun {
+  std::vector<trace::OpRecord> records;  ///< completion order
+  sim::SimTime stale_at = -1;     ///< when the late event reached client 0
+  std::size_t emitted_by_stale = 0;  ///< ops finished by then
+  std::int64_t stale = 0;         ///< client 0's stale arrivals, whole run
+  std::size_t slab = 0;           ///< client 0's op records
+};
+
+LateRun run_late(sim::SimDuration deadline, int max_retries, sim::SimDuration backoff,
+                 FollowUp follow) {
+  sim::Simulation s;
+  ClusterConfig cfg;
+  cfg.seed = 9;
+  cfg.ost_disk.service_jitter = 0.0;
+  cfg.client.rpc_deadline = deadline;
+  cfg.client.rpc_max_retries = max_retries;
+  cfg.client.retry_backoff = backoff;
+  cfg.client.retry_jitter = 0.0;
+  Cluster cluster(s, cfg);
+  FaultPlan plan;
+  plan.stalls.push_back({/*ost=*/0, /*start=*/0, /*duration=*/20 * sim::kMillisecond});
+  FaultInjector injector(cluster, plan, 1);
+  PfsClient& client = cluster.make_client(0, 0, 0);
+  PfsClient& other = cluster.make_client(0, 1, 0);
+  // Data ops need only a layout, so no metadata RPC shares the deadline.
+  const FileLayout on_ost0(1, {0}, cfg.stripe_size, cfg.ost_disk.capacity_bytes);
+  const FileLayout on_ost1(2, {1}, cfg.stripe_size, cfg.ost_disk.capacity_bytes);
+  client.read(FileHandle{1, &on_ost0, 0}, 0, 1 << 20, [&] {
+    if (follow == FollowUp::kNone) return;
+    PfsClient& issuer = follow == FollowUp::kSameClient ? client : other;
+    issuer.read(FileHandle{2, &on_ost1, 0}, 0, 1 << 20, [] {});
+  });
+  LateRun out;
+  while (client.stale_arrivals() == 0 && s.pending() > 0) s.run_until(s.next_event_time());
+  out.stale_at = s.now();
+  out.emitted_by_stale = cluster.trace_log().size();
+  s.run_all();
+  for (const trace::OpRecord& r : cluster.trace_log().records()) out.records.push_back(r);
+  out.stale = client.stale_arrivals();
+  out.slab = client.op_slab_size();
+  return out;
+}
+
+void expect_same_timing(const trace::OpRecord& a, const trace::OpRecord& b) {
+  EXPECT_EQ(a.start, b.start);
+  EXPECT_EQ(a.end, b.end);
+  EXPECT_EQ(a.retries, b.retries);
+  EXPECT_EQ(a.timeouts, b.timeouts);
+  EXPECT_EQ(a.failed, b.failed);
+}
+
+TEST(LateArrival, RetryTimerAfterTheResponseWonIsANoOp) {
+  // The first attempt times out at 30 ms and backs off until 50 ms; its
+  // response (the stall ends at 20 ms) wins at ~40 ms, so the backoff
+  // timer fires after the op has finished.
+  const auto run = [](FollowUp f) {
+    return run_late(30 * sim::kMillisecond, 4, 20 * sim::kMillisecond, f);
+  };
+  const LateRun alone = run(FollowUp::kNone);
+  ASSERT_EQ(alone.records.size(), 1u);
+  const trace::OpRecord& first = alone.records[0];
+  EXPECT_EQ(first.timeouts, 1);
+  EXPECT_EQ(first.retries, 1);
+  EXPECT_FALSE(first.failed);
+  EXPECT_EQ(alone.stale, 1);
+  EXPECT_EQ(alone.stale_at, 50 * sim::kMillisecond);
+  EXPECT_GT(alone.stale_at, first.end);
+
+  const LateRun reused = run(FollowUp::kSameClient);
+  ASSERT_EQ(reused.records.size(), 2u);
+  EXPECT_EQ(reused.slab, 1u);  // the second read took over the first's slot
+  EXPECT_EQ(reused.stale, 1);
+  EXPECT_EQ(reused.stale_at, 50 * sim::kMillisecond);
+  EXPECT_EQ(reused.emitted_by_stale, 1u);  // the new op was in flight
+  const trace::OpRecord& second = reused.records[1];
+  EXPECT_EQ(second.start, first.end);
+  EXPECT_GT(second.end, reused.stale_at);
+  EXPECT_EQ(second.timeouts, 0);
+  // The new op's record is exactly what it is on a slab of its own.
+  const LateRun control = run(FollowUp::kOtherClient);
+  ASSERT_EQ(control.records.size(), 2u);
+  expect_same_timing(second, control.records[1]);
+}
+
+TEST(LateArrival, ResponseAfterEioIsANoOp) {
+  // No retries: the op fails at its 30 ms deadline, and the stalled OST's
+  // response straggles in at ~40 ms.
+  const auto run = [](FollowUp f) {
+    return run_late(30 * sim::kMillisecond, 0, 20 * sim::kMillisecond, f);
+  };
+  const LateRun alone = run(FollowUp::kNone);
+  ASSERT_EQ(alone.records.size(), 1u);
+  const trace::OpRecord& first = alone.records[0];
+  EXPECT_TRUE(first.failed);
+  EXPECT_EQ(first.timeouts, 1);
+  EXPECT_EQ(first.end, 30 * sim::kMillisecond);
+  EXPECT_EQ(alone.stale, 1);
+  EXPECT_GT(alone.stale_at, first.end);
+
+  const LateRun reused = run(FollowUp::kSameClient);
+  ASSERT_EQ(reused.records.size(), 2u);
+  EXPECT_EQ(reused.slab, 1u);
+  EXPECT_EQ(reused.stale, 1);
+  EXPECT_EQ(reused.stale_at, alone.stale_at);
+  EXPECT_EQ(reused.emitted_by_stale, 1u);
+  // The straggler must not complete the new op, whose first RPC carries
+  // the same slot, RPC index and attempt number.
+  const trace::OpRecord& second = reused.records[1];
+  EXPECT_EQ(second.start, first.end);
+  EXPECT_GT(second.end, reused.stale_at);
+  EXPECT_FALSE(second.failed);
+  const LateRun control = run(FollowUp::kOtherClient);
+  ASSERT_EQ(control.records.size(), 2u);
+  expect_same_timing(second, control.records[1]);
 }
 
 }  // namespace

@@ -17,17 +17,32 @@ NetworkParams fast_params() {
   return p;
 }
 
+// Requests whose kind fixes the wire payloads: a read returns `len` bytes,
+// a write sends them, a metadata op sends 256 bytes each way.
+RpcRequest request(RpcKind kind, std::int64_t len) {
+  RpcRequest r;
+  r.kind = kind;
+  r.len = len;
+  return r;
+}
+RpcRequest read_of(std::int64_t len) { return request(RpcKind::kRead, len); }
+RpcRequest write_of(std::int64_t len) { return request(RpcKind::kWrite, len); }
+RpcRequest meta_op() { return request(RpcKind::kStat, 0); }
+
+// A server that answers every request at once.
+void serve_instantly(NetworkFabric& net) {
+  net.set_server([](RpcRequest, RpcDone done) { done(); });
+}
+
 TEST(NetworkFabric, RpcRunsServeBetweenTransfers) {
   sim::Simulation s;
   NetworkFabric net(s, fast_params(), 2, 2);
   std::vector<int> order;
-  net.rpc(
-      0, 1, 0, 0,
-      [&](std::function<void()> done) {
-        order.push_back(1);  // serve
-        s.schedule_after(sim::kMillisecond, std::move(done));
-      },
-      [&] { order.push_back(2); });
+  net.set_server([&](RpcRequest, RpcDone done) {
+    order.push_back(1);  // serve
+    s.schedule_after(sim::kMillisecond, std::move(done));
+  });
+  net.rpc(0, 1, read_of(0), [&](const MetaResult&) { order.push_back(2); });
   s.run_all();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
@@ -35,9 +50,9 @@ TEST(NetworkFabric, RpcRunsServeBetweenTransfers) {
 TEST(NetworkFabric, SmallRpcLatencyIsBounded) {
   sim::Simulation s;
   NetworkFabric net(s, fast_params(), 1, 1);
+  serve_instantly(net);
   sim::SimTime done = 0;
-  net.rpc(0, 0, 256, 256, [](std::function<void()> d) { d(); },
-          [&] { done = s.now(); });
+  net.rpc(0, 0, meta_op(), [&](const MetaResult&) { done = s.now(); });
   s.run_all();
   // Two propagation hops + tiny serializations: well under a millisecond.
   EXPECT_GT(done, 2 * fast_params().latency);
@@ -47,16 +62,16 @@ TEST(NetworkFabric, SmallRpcLatencyIsBounded) {
 TEST(NetworkFabric, LargePayloadPaysSerialization) {
   sim::Simulation s;
   NetworkFabric net(s, fast_params(), 1, 1);
+  serve_instantly(net);
   sim::SimTime small_done = 0, big_done = 0;
   {
     sim::Simulation s2;
     NetworkFabric net2(s2, fast_params(), 1, 1);
-    net2.rpc(0, 0, 0, 256, [](std::function<void()> d) { d(); },
-             [&] { small_done = s2.now(); });
+    serve_instantly(net2);
+    net2.rpc(0, 0, read_of(256), [&](const MetaResult&) { small_done = s2.now(); });
     s2.run_all();
   }
-  net.rpc(0, 0, 0, 100 << 20, [](std::function<void()> d) { d(); },
-          [&] { big_done = s.now(); });
+  net.rpc(0, 0, read_of(100 << 20), [&](const MetaResult&) { big_done = s.now(); });
   s.run_all();
   // 100 MiB at 1 GB/s ~ 105 ms of response serialization.
   EXPECT_GT(sim::to_millis(big_done) - sim::to_millis(small_done), 90.0);
@@ -65,10 +80,10 @@ TEST(NetworkFabric, LargePayloadPaysSerialization) {
 TEST(NetworkFabric, ClientEgressSerializesRanksOnOneNode) {
   sim::Simulation s;
   NetworkFabric net(s, fast_params(), 1, 1);
+  serve_instantly(net);
   std::vector<sim::SimTime> done;
   for (int i = 0; i < 2; ++i) {
-    net.rpc(0, 0, 50 << 20, 0, [](std::function<void()> d) { d(); },
-            [&] { done.push_back(s.now()); });
+    net.rpc(0, 0, write_of(50 << 20), [&](const MetaResult&) { done.push_back(s.now()); });
   }
   s.run_all();
   ASSERT_EQ(done.size(), 2u);
@@ -80,10 +95,12 @@ TEST(NetworkFabric, ClientEgressSerializesRanksOnOneNode) {
 TEST(NetworkFabric, ServerIngressSharesFairlyAcrossNodes) {
   sim::Simulation s;
   NetworkFabric net(s, fast_params(), 2, 1);
+  serve_instantly(net);
   std::vector<sim::SimTime> done(2);
   for (int node = 0; node < 2; ++node) {
-    net.rpc(node, 0, 100 << 20, 0, [](std::function<void()> d) { d(); },
-            [&, node] { done[static_cast<std::size_t>(node)] = s.now(); });
+    net.rpc(node, 0, write_of(100 << 20), [&, node](const MetaResult&) {
+      done[static_cast<std::size_t>(node)] = s.now();
+    });
   }
   s.run_all();
   // Two equal flows from different nodes converge on one ingress: both
@@ -97,7 +114,8 @@ TEST(NetworkFabric, ServerIngressSharesFairlyAcrossNodes) {
 TEST(NetworkFabric, FlowGaugesTrackActivity) {
   sim::Simulation s;
   NetworkFabric net(s, fast_params(), 1, 2);
-  net.rpc(0, 1, 40 << 20, 0, [](std::function<void()> d) { d(); }, nullptr);
+  serve_instantly(net);
+  net.rpc(0, 1, write_of(40 << 20), nullptr);
   // Nothing in flight on port 0; port 1 becomes active once the request
   // clears the client NIC (~42 ms serialization) and enters the ingress.
   s.run_until(45 * sim::kMillisecond);
@@ -110,14 +128,33 @@ TEST(NetworkFabric, FlowGaugesTrackActivity) {
 TEST(NetworkFabric, ManyConcurrentRpcsAllComplete) {
   sim::Simulation s;
   NetworkFabric net(s, fast_params(), 4, 3);
+  net.set_server([&s](RpcRequest, RpcDone d) { s.schedule_after(10, std::move(d)); });
   int done = 0;
   for (int i = 0; i < 200; ++i) {
-    net.rpc(i % 4, i % 3, 4096, 4096,
-            [&s](std::function<void()> d) { s.schedule_after(10, std::move(d)); },
-            [&] { ++done; });
+    net.rpc(i % 4, i % 3, read_of(4096), [&](const MetaResult&) { ++done; });
   }
   s.run_all();
   EXPECT_EQ(done, 200);
+}
+
+TEST(NetworkFabric, ReplyCarriesTheServerResultByValue) {
+  sim::Simulation s;
+  NetworkFabric net(s, fast_params(), 1, 1);
+  net.set_server([](RpcRequest req, RpcDone done) {
+    MetaResult r;  // dies with this frame; the reply must carry a copy
+    r.ok = req.path == "/a/b";
+    r.file = 7;
+    r.size = 4096;
+    done(r);
+  });
+  RpcRequest req = meta_op();
+  req.path = "/a/b";
+  MetaResult got;
+  net.rpc(0, 0, std::move(req), [&](const MetaResult& r) { got = r; });
+  s.run_all();
+  EXPECT_TRUE(got.ok);
+  EXPECT_EQ(got.file, 7);
+  EXPECT_EQ(got.size, 4096);
 }
 
 }  // namespace
