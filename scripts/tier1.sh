@@ -4,9 +4,10 @@
 # the parallel campaign runner, and the thread-parallel GEMM path, and an
 # AddressSanitizer leg over the .qds corruption-fuzz and reader tests so
 # hostile bytes can never turn into a silent out-of-bounds read (the same
-# leg fuzzes the .qifm model parser and the trainer's width checks, and runs
-# the scenario tests with LeakSanitizer on), and an UndefinedBehaviorSanitizer
-# leg over the trace-storage tests.
+# leg fuzzes the .qifm model parser and the trainer's width checks, runs
+# the scenario tests with LeakSanitizer on, and runs the event engine and
+# extent-map tests), and an UndefinedBehaviorSanitizer leg over the
+# trace-storage, event-engine and extent-map tests.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -78,7 +79,8 @@ cmake -B build-asan -S . -DQIF_SANITIZE=address
 cmake --build build-asan -j --target test_qds_fuzz test_export test_streaming \
   test_qwp test_replay test_trace test_serve_registry test_ml_trainer \
   test_sim_golden test_core test_sim_lanes test_pfs_client test_pfs_faults \
-  test_campaign_mitigate
+  test_campaign_mitigate test_sim_simulation test_sim_property test_sim_links \
+  test_pfs_read_cache test_pfs_writeback
 ./build-asan/tests/test_qds_fuzz
 ./build-asan/tests/test_export
 ./build-asan/tests/test_streaming
@@ -101,20 +103,35 @@ ASAN_OPTIONS=detect_leaks=1 ./build-asan/tests/test_sim_lanes
 ASAN_OPTIONS=detect_leaks=1 ./build-asan/tests/test_pfs_client
 ASAN_OPTIONS=detect_leaks=1 ./build-asan/tests/test_pfs_faults
 ASAN_OPTIONS=detect_leaks=1 ./build-asan/tests/test_campaign_mitigate
+# Event engine: closures are built in place in slot chunks, run where they
+# sit while they schedule into freshly grown chunks, and FairLink/Pipe hand
+# callbacks between flows, ring cells and slots; the extent maps split and
+# shift flat vectors by index.  Use-after-free and out-of-bounds index
+# arithmetic are the hazards.
+./build-asan/tests/test_sim_simulation
+./build-asan/tests/test_sim_property
+./build-asan/tests/test_sim_links
+./build-asan/tests/test_pfs_read_cache
+./build-asan/tests/test_pfs_writeback
 
-echo "=== tier-1: trace storage under UBSan ==="
+echo "=== tier-1: trace storage, event engine and extent maps under UBSan ==="
 # The trace log's fixed blocks and the records' inline target lists do
 # their own index arithmetic and union storage; every test that records,
 # dumps, replays, observes or fingerprints traces runs with UB trapping.
+# So do the engine's chunked slot indexing and in-place closure storage
+# and the flat extent maps' index arithmetic.
 cmake -B build-ubsan -S . -DQIF_SANITIZE=undefined
 cmake --build build-ubsan -j --target test_trace test_export test_replay test_monitor \
-  test_pfs_client test_sim_golden
+  test_pfs_client test_sim_golden test_sim_simulation test_pfs_read_cache test_pfs_writeback
 ./build-ubsan/tests/test_trace
 ./build-ubsan/tests/test_export
 ./build-ubsan/tests/test_replay
 ./build-ubsan/tests/test_monitor
 ./build-ubsan/tests/test_pfs_client
 ./build-ubsan/tests/test_sim_golden
+./build-ubsan/tests/test_sim_simulation
+./build-ubsan/tests/test_pfs_read_cache
+./build-ubsan/tests/test_pfs_writeback
 
 echo "=== tier-1: benchmark smoke ==="
 # Includes the lane smoke: `qif run --lanes 4` must print the same trace

@@ -134,7 +134,7 @@ void NetworkFabric::respond(NodeId client, int server_port, std::int64_t respons
       [this, client, server_port, reply, on_reply = std::move(on_reply)]() mutable {
         // Response propagation back to the client host, delivered under the
         // client node's entity context.
-        sim::InlineTask deliver = [reply, on_reply = std::move(on_reply)]() mutable {
+        auto deliver = [reply, on_reply = std::move(on_reply)]() mutable {
           if (on_reply) on_reply(reply);
         };
         if (lanes_ != nullptr) {

@@ -10,50 +10,50 @@ WritebackCache::WritebackCache(sim::Simulation& sim, DiskModel& disk, WritebackP
 
 void WritebackCache::write(std::int64_t disk_offset, std::int64_t len,
                            sim::InlineTask on_durable_ack) {
-  // The ack is always scheduled, callback or not.
-  if (!on_durable_ack) on_durable_ack = [] {};
-  PendingWrite w{disk_offset, len, std::move(on_durable_ack), 0};
   // Fairness: once anyone is throttled, newcomers queue too.
   if (!throttle_queue_.empty() || dirty_bytes_ + len > params_.dirty_limit_bytes) {
-    throttle_queue_.push_back(std::move(w));
+    throttle_queue_.push_back(PendingWrite{disk_offset, len, std::move(on_durable_ack), 0});
     kick_flusher();
     // If nothing is in flight (e.g. the very first write is oversized),
     // no flush completion will ever run the admission logic — run it now.
     drain_throttle_queue();
     return;
   }
-  admit(std::move(w));
+  admit(disk_offset, len, std::move(on_durable_ack));
 }
 
-void WritebackCache::admit(PendingWrite w) {
-  total_absorbed_ += w.len;
+void WritebackCache::admit(std::int64_t disk_offset, std::int64_t len,
+                           sim::InlineTask&& on_durable_ack) {
+  total_absorbed_ += len;
   // Coalesce into the offset-ordered extent map (back- and front-merges,
   // absorbing every overlapped successor).  dirty_bytes_ must track the
   // *extent* bytes, not the sum of write sizes: an overlapping rewrite
   // adds no new dirty data, and counting it twice would never drain.
-  std::int64_t off = w.disk_offset;
-  std::int64_t len = w.len;
+  std::int64_t off = disk_offset;
+  std::int64_t ext = len;  // the merged extent's length
   std::int64_t erased = 0;
   if (auto it = dirty_extents_.lower_bound(off); it != dirty_extents_.begin()) {
     auto prev = std::prev(it);
     if (prev->first + prev->second >= off) {
       erased += prev->second;
-      len = std::max(prev->first + prev->second, off + len) - prev->first;
+      ext = std::max(prev->first + prev->second, off + ext) - prev->first;
       off = prev->first;
       dirty_extents_.erase(prev);
     }
   }
   for (auto it = dirty_extents_.lower_bound(off);
-       it != dirty_extents_.end() && it->first <= off + len;
+       it != dirty_extents_.end() && it->first <= off + ext;
        it = dirty_extents_.lower_bound(off)) {
     erased += it->second;
-    len = std::max(off + len, it->first + it->second) - off;
+    ext = std::max(off + ext, it->first + it->second) - off;
     dirty_extents_.erase(it);
   }
-  dirty_extents_.set(off, len);
-  dirty_bytes_ += len - erased;
-  const auto copy_time = sim::from_seconds(static_cast<double>(w.len) / params_.memcpy_rate_bps);
-  sim_.schedule_after(params_.ack_overhead + copy_time, std::move(w.on_durable_ack));
+  dirty_extents_.set(off, ext);
+  dirty_bytes_ += ext - erased;
+  // The ack is always scheduled, callback or not (an empty one is an event
+  // that only advances the clock).
+  const auto copy_time = sim::from_seconds(static_cast<double>(len) / params_.memcpy_rate_bps);
+  sim_.schedule_after(params_.ack_overhead + copy_time, std::move(on_durable_ack));
   kick_flusher();
 }
 
@@ -98,10 +98,8 @@ void WritebackCache::start_flushes() {
     if (it->second == chunk) {
       dirty_extents_.erase(it);
     } else {
-      const std::int64_t new_off = it->first + chunk;
-      const std::int64_t new_len = it->second - chunk;
-      dirty_extents_.erase(it);
-      dirty_extents_.set(new_off, new_len);
+      // Trim the head in place: the rest still starts before the next extent.
+      *it = {it->first + chunk, it->second - chunk};
     }
     flush_cursor_ = chunk_off + chunk;
     ++flush_inflight_;
@@ -135,7 +133,7 @@ void WritebackCache::drain_throttle_queue() {
     if (throttle_queue_[i].credit >= throttle_queue_[i].len) {
       PendingWrite w = std::move(throttle_queue_[i]);
       throttle_queue_.erase(throttle_queue_.begin() + static_cast<std::ptrdiff_t>(i));
-      admit(std::move(w));
+      admit(w.disk_offset, w.len, std::move(w.on_durable_ack));
     } else {
       ++i;
     }
@@ -143,7 +141,7 @@ void WritebackCache::drain_throttle_queue() {
   if (!throttle_queue_.empty() && flush_inflight_ == 0 && dirty_extents_.empty()) {
     PendingWrite w = std::move(throttle_queue_.front());
     throttle_queue_.erase(throttle_queue_.begin());
-    admit(std::move(w));
+    admit(w.disk_offset, w.len, std::move(w.on_durable_ack));
   }
 }
 

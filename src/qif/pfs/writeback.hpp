@@ -72,7 +72,7 @@ class WritebackCache {
     std::int64_t credit = 0;  ///< flush-progress share earned while waiting
   };
 
-  void admit(PendingWrite w);
+  void admit(std::int64_t disk_offset, std::int64_t len, sim::InlineTask&& on_durable_ack);
   void kick_flusher();
   void start_flushes();
   void on_flush_done(std::int64_t chunk);

@@ -6,17 +6,10 @@
 
 namespace qif::sim {
 
-void FairLink::transfer(std::int64_t bytes, InlineTask on_done) {
-  if (loss_gate_ && loss_gate_()) {
-    ++messages_dropped_;
-    return;  // dropped on the wire: no link time, callback never fires
-  }
-  settle();
-  const std::int64_t clamped = std::max<std::int64_t>(bytes, 0);
-  const double remaining = static_cast<double>(clamped);
-  flows_.push_back(Flow{remaining, clamped, std::move(on_done)});
+void FairLink::add_remaining(double remaining) {
+  remaining_.push_back(remaining);
   // Incremental min maintenance: an arrival can only lower the minimum.
-  min_remaining_ = flows_.size() == 1 ? remaining : std::min(min_remaining_, remaining);
+  min_remaining_ = remaining_.size() == 1 ? remaining : std::min(min_remaining_, remaining);
   reschedule();
 }
 
@@ -28,7 +21,7 @@ void FairLink::settle() {
   }
   const double elapsed_s = to_seconds(now - last_settle_);
   const double per_flow = elapsed_s * bytes_per_second_ / static_cast<double>(flows_.size());
-  for (auto& f : flows_) f.remaining = std::max(0.0, f.remaining - per_flow);
+  for (double& r : remaining_) r = std::max(0.0, r - per_flow);
   // Every flow was debited by the same amount through the same expression,
   // and x -> max(0, x - p) is monotone, so the minimum moves with its flow:
   // this stays bit-identical to a full rescan.
@@ -59,7 +52,10 @@ void FairLink::reschedule() {
       ++reschedules_elided_;
       return;
     }
-    sim_.cancel(pending_event_);
+    // Otherwise move it: rearm mints the key cancel + schedule_after would.
+    sim_.rearm(pending_event_, fire);
+    pending_fire_ = fire;
+    return;
   }
   pending_fire_ = fire;
   pending_event_ = sim_.schedule_after(delay, [this] { on_completion(); });
@@ -73,22 +69,24 @@ void FairLink::on_completion() {
   // residue left by the ceil in reschedule.
   constexpr double kEps = 1e-6;
   done_.clear();
-  for (std::size_t i = 0; i < flows_.size();) {
-    if (flows_[i].remaining <= kEps) {
+  // The drained flows were the minimum; the same pass takes the survivors'.
+  double survivors_min = 0.0;
+  bool any_survivor = false;
+  for (std::size_t i = 0; i < remaining_.size();) {
+    if (remaining_[i] <= kEps) {
       bytes_delivered_ += flows_[i].total_bytes;
       done_.push_back(std::move(flows_[i].on_done));
       flows_[i] = std::move(flows_.back());
       flows_.pop_back();
+      remaining_[i] = remaining_.back();
+      remaining_.pop_back();
     } else {
+      survivors_min = any_survivor ? std::min(survivors_min, remaining_[i]) : remaining_[i];
+      any_survivor = true;
       ++i;
     }
   }
-  // The drained flows were the minimum; rescan the survivors once.
-  if (!flows_.empty()) {
-    double m = flows_.front().remaining;
-    for (const auto& f : flows_) m = std::min(m, f.remaining);
-    min_remaining_ = m;
-  }
+  if (any_survivor) min_remaining_ = survivors_min;
   reschedule();
   // Fire callbacks after internal state is consistent; callbacks routinely
   // start new transfers on this same link (they never re-enter this method

@@ -23,13 +23,20 @@
 //     (guarded to strictly-future times so same-tick event ordering, and
 //     with it trace bit-identity, is preserved);
 //   * the per-completion callback buffer is a reused member, not a fresh
-//     vector per completion.
+//     vector per completion;
+//   * a moved deadline re-keys the armed event in place (Simulation::rearm,
+//     the same key cancel + schedule_after would mint), and the event is
+//     cancelled only when the last flow drains;
+//   * per-flow remaining bytes live in their own dense array, swap-removed
+//     in step with the flows, so settle and the drained-flow scan stride
+//     over 8-byte values instead of whole flows with their closures.
 // None of this changes the settle arithmetic, so traces stay bit-identical
 // to the pre-rebuild engine (pinned by test_sim_golden).
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "qif/sim/simulation.hpp"
@@ -45,9 +52,27 @@ class FairLink {
   FairLink(const FairLink&) = delete;
   FairLink& operator=(const FairLink&) = delete;
 
-  /// Starts a transfer of `bytes`; `on_done` fires when the last byte has
-  /// been serviced.  Zero-byte transfers complete on the next event cycle.
-  void transfer(std::int64_t bytes, InlineTask on_done);
+  /// Starts a transfer of `bytes`; `on_done` (a void() callable, built in
+  /// place in the flow) fires when the last byte has been serviced.
+  /// Zero-byte transfers complete on the next event cycle.
+  template <typename F>
+  void transfer(std::int64_t bytes, F&& on_done) {
+    if (loss_gate_ && loss_gate_()) {
+      ++messages_dropped_;
+      return;  // dropped on the wire: no link time, callback never built
+    }
+    settle();
+    const std::int64_t clamped = bytes < 0 ? 0 : bytes;
+    Flow& flow = flows_.emplace_back();
+    flow.total_bytes = clamped;
+    try {
+      flow.on_done.emplace(std::forward<F>(on_done));
+    } catch (...) {
+      flows_.pop_back();  // keep flows_ and remaining_ index-aligned
+      throw;
+    }
+    add_remaining(static_cast<double>(clamped));
+  }
 
   /// Number of transfers currently in flight.
   [[nodiscard]] std::size_t active() const { return flows_.size(); }
@@ -73,11 +98,11 @@ class FairLink {
 
  private:
   struct Flow {
-    double remaining;          // bytes left; double because shares are fractional
-    std::int64_t total_bytes;  // original size, credited to bytes_delivered()
+    std::int64_t total_bytes = 0;  // original size, credited to bytes_delivered()
     InlineTask on_done;
   };
 
+  void add_remaining(double remaining);  // second half of transfer()
   void settle();      // debit elapsed work from all flows
   void reschedule();  // re-arm the next-completion event
   void on_completion();
@@ -85,7 +110,10 @@ class FairLink {
   Simulation& sim_;
   double bytes_per_second_;
   std::vector<Flow> flows_;
-  /// min over flows_ of .remaining; only meaningful while !flows_.empty().
+  /// Bytes left per flow, index-aligned with flows_; double because shares
+  /// are fractional.
+  std::vector<double> remaining_;
+  /// min over remaining_; only meaningful while !flows_.empty().
   double min_remaining_ = 0.0;
   SimTime last_settle_ = 0;
   EventId pending_event_ = kInvalidEvent;

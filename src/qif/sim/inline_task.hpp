@@ -14,6 +14,11 @@
 // moved-in state) and relocation is a move-construct + destroy pair
 // dispatched through a static ops table, never a heap round trip.
 //
+// emplace() builds a closure directly in an empty object's buffer, so a
+// container that owns InlineFunction storage (the engine's event slots, a
+// Pipe's ring, a FairLink's flows) can take a caller's lambda with a single
+// move instead of constructing a temporary and relocating it.
+//
 // InlineTask is the event closure: void(), 128 bytes, sized for the
 // largest closure scheduled today — the fabric's request hop, which
 // carries the fabric, both endpoints, the by-value RpcRequest and the
@@ -23,6 +28,7 @@
 // reply continuation.
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <new>
 #include <type_traits>
@@ -49,17 +55,7 @@ class InlineFunction<R(Args...), N> {
                                         !std::is_same_v<Fn, std::nullptr_t> &&
                                         std::is_invocable_r_v<R, Fn&, Args...>>>
   InlineFunction(F&& f) {  // NOLINT(google-explicit-constructor)
-    static_assert(sizeof(Fn) <= kStorageBytes,
-                  "closure exceeds the inline buffer; shrink its captures (or "
-                  "box the large member) — there is deliberately no heap "
-                  "fallback");
-    static_assert(alignof(Fn) <= alignof(std::max_align_t),
-                  "over-aligned closures are not supported");
-    static_assert(std::is_nothrow_move_constructible_v<Fn>,
-                  "closures must be nothrow-movable so event slots can be "
-                  "relocated without a throwing state");
-    ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
-    ops_ = &kOpsFor<Fn>;
+    construct<Fn>(std::forward<F>(f));
   }
 
   InlineFunction(InlineFunction&& other) noexcept : ops_(other.ops_) {
@@ -99,12 +95,51 @@ class InlineFunction<R(Args...), N> {
     }
   }
 
+  /// Builds `f` in place in this *empty* function: a callable is moved (or
+  /// copied) straight into the buffer, an InlineFunction rvalue is
+  /// relocated, and nullptr leaves this empty.  The precondition lets an
+  /// owner of pooled cells (event slots, ring cells, flows — all emptied
+  /// when their closure leaves) construct into a cold cell without first
+  /// reading it.  If constructing the callable throws, this stays empty.
+  template <typename F>
+  void emplace(F&& f) {
+    using Fn = std::remove_cvref_t<F>;
+    assert(ops_ == nullptr && "emplace needs an empty InlineFunction");
+    if constexpr (std::is_same_v<Fn, InlineFunction>) {
+      static_assert(!std::is_lvalue_reference_v<F>, "InlineFunction is move-only");
+      ops_ = f.ops_;
+      if (ops_ != nullptr) {
+        ops_->relocate(f.storage_, storage_);
+        f.ops_ = nullptr;
+      }
+    } else if constexpr (!std::is_same_v<Fn, std::nullptr_t>) {
+      static_assert(std::is_invocable_r_v<R, Fn&, Args...>,
+                    "emplace needs a callable of the stored signature");
+      construct<Fn>(std::forward<F>(f));
+    }
+  }
+
  private:
   struct Ops {
     R (*invoke)(void*, Args&&...);
     void (*relocate)(void* src, void* dst) noexcept;  // move into dst, destroy src
     void (*destroy)(void*) noexcept;
   };
+
+  template <typename Fn, typename F>
+  void construct(F&& f) {
+    static_assert(sizeof(Fn) <= kStorageBytes,
+                  "closure exceeds the inline buffer; shrink its captures (or "
+                  "box the large member) — there is deliberately no heap "
+                  "fallback");
+    static_assert(alignof(Fn) <= alignof(std::max_align_t),
+                  "over-aligned closures are not supported");
+    static_assert(std::is_nothrow_move_constructible_v<Fn>,
+                  "closures must be nothrow-movable so event slots can be "
+                  "relocated without a throwing state");
+    ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
+    ops_ = &kOpsFor<Fn>;
+  }
 
   template <typename Fn>
   static R invoke_impl(void* p, Args&&... args) {

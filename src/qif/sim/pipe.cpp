@@ -5,83 +5,41 @@
 
 namespace qif::sim {
 
-void Pipe::ring_push(Message msg) {
-  if (count_ == ring_.size()) {
-    // Grow once and re-pack in FIFO order; steady state never re-enters.
-    std::vector<Message> bigger;
-    bigger.reserve(ring_.empty() ? 16 : ring_.size() * 2);
-    for (std::size_t i = 0; i < count_; ++i) {
-      bigger.push_back(std::move(ring_[(head_ + i) % ring_.size()]));
-    }
-    bigger.resize(bigger.capacity());
-    ring_ = std::move(bigger);
-    head_ = 0;
+void Pipe::grow() {
+  // Double and re-pack in FIFO order; steady state never re-enters.  No
+  // event refers to a cell by address, so the serializing head may move.
+  std::vector<Message> bigger(ring_.empty() ? 16 : ring_.size() * 2);
+  for (std::size_t i = 0; i < count_; ++i) {
+    bigger[i] = std::move(ring_[(head_ + i) & (ring_.size() - 1)]);
   }
-  ring_[(head_ + count_) % ring_.size()] = std::move(msg);
-  ++count_;
+  ring_ = std::move(bigger);
+  head_ = 0;
 }
 
-Pipe::Message Pipe::ring_pop() {
-  Message msg = std::move(ring_[head_]);
-  head_ = (head_ + 1) % ring_.size();
-  --count_;
-  return msg;
-}
-
-void Pipe::send(std::int64_t bytes, std::int32_t route_tag, InlineTask on_delivered) {
-  if (loss_gate_ && loss_gate_()) {
-    ++messages_dropped_;
-    return;  // dropped on the wire: no link time, callback never fires
-  }
-  ring_push(Message{bytes < 0 ? 0 : bytes, route_tag, std::move(on_delivered)});
-  if (!busy_) start_next();
-}
-
-void Pipe::start_next() {
-  if (count_ == 0) {
-    busy_ = false;
-    return;
-  }
-  busy_ = true;
-  Message msg = ring_pop();
-  current_bytes_ = msg.bytes;
-  current_tag_ = msg.route_tag;
-  current_done_ = std::move(msg.on_delivered);
+void Pipe::start_head() {
   const auto serialize = static_cast<SimDuration>(
-      std::ceil(static_cast<double>(current_bytes_) / bytes_per_second_ * 1e9));
+      std::ceil(static_cast<double>(ring_[head_].bytes) / bytes_per_second_ * 1e9));
   // The pipe frees up after serialization; propagation overlaps with the
   // next message (cut-through at the far end).
   sim_.schedule_after(serialize, [this] { on_serialized(); });
 }
 
 void Pipe::on_serialized() {
-  bytes_sent_ += current_bytes_;
+  Message& msg = ring_[head_];
+  bytes_sent_ += msg.bytes;
   if (route_) {
     // Cross-lane delivery: the lane fabric turns the callback into a
     // timestamped message keyed exactly like the local delivery event the
     // classic branch below would have scheduled.
-    route_(latency_, current_tag_, std::move(current_done_));
-    start_next();
-    return;
-  }
-  // Park the callback in a pooled slot; the delivery event then only needs
-  // {this, slot}, independent of pipe state (multiple deliveries overlap).
-  std::uint32_t slot;
-  if (!delivery_free_.empty()) {
-    slot = delivery_free_.back();
-    delivery_free_.pop_back();
-    delivery_pool_[slot] = std::move(current_done_);
+    route_(latency_, msg.route_tag, std::move(msg.on_delivered));
   } else {
-    slot = static_cast<std::uint32_t>(delivery_pool_.size());
-    delivery_pool_.push_back(std::move(current_done_));
+    // Deliver after the propagation latency, independently of pipe state.
+    // An empty callback still schedules its (empty) event, so the origins
+    // minted after it do not shift.
+    sim_.schedule_after(latency_, std::move(msg.on_delivered));
   }
-  // Deliver after the propagation latency, independently of pipe state.
-  sim_.schedule_after(latency_, [this, slot] {
-    InlineTask fn = std::move(delivery_pool_[slot]);
-    delivery_free_.push_back(slot);
-    if (fn) fn();
-  });
-  start_next();
+  head_ = (head_ + 1) & (ring_.size() - 1);
+  if (--count_ > 0) start_head();
 }
 
 }  // namespace qif::sim

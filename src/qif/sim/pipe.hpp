@@ -7,15 +7,19 @@
 // matters for per-rank op streams: a rank's requests may not overtake each
 // other.
 //
-// Allocation discipline: the waiting queue is a grow-once ring buffer (a
-// deque would allocate/free blocks as it marches), and delivery callbacks
-// park in a pooled slot so the in-flight delivery event captures only
-// {this, slot index} instead of the full closure.  After warm-up a pipe
-// performs zero heap allocations per message (asserted by test_sim_alloc).
+// Allocation discipline: messages live in a grow-once power-of-two ring
+// (a deque would allocate/free blocks as it marches).  send() builds the
+// delivery callback in place in its ring cell; the head cell is the
+// message serializing, and at serialization end its callback moves
+// straight into the delivery event (or the lane route).  A callback is
+// thus built once and moved once on its way to the engine, and after
+// warm-up a pipe performs zero heap allocations per message (asserted by
+// test_sim_alloc).
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "qif/sim/simulation.hpp"
@@ -32,16 +36,31 @@ class Pipe {
   Pipe(const Pipe&) = delete;
   Pipe& operator=(const Pipe&) = delete;
 
-  /// Enqueues a message; `on_delivered` fires once the message has fully
-  /// serialized (in FIFO order) and propagated.  `route_tag` is opaque to
-  /// the pipe: it is handed to the delivery route (lane mode) so the fabric
-  /// knows which lane the far end lives in; untagged sends carry -1.
-  void send(std::int64_t bytes, InlineTask on_delivered) {
-    send(bytes, -1, std::move(on_delivered));
+  /// Enqueues a message; `on_delivered` (a void() callable, built in place
+  /// in the ring) fires once the message has fully serialized (in FIFO
+  /// order) and propagated.  `route_tag` is opaque to the pipe: it is
+  /// handed to the delivery route (lane mode) so the fabric knows which
+  /// lane the far end lives in; untagged sends carry -1.
+  template <typename F>
+  void send(std::int64_t bytes, F&& on_delivered) {
+    send(bytes, -1, std::forward<F>(on_delivered));
   }
-  void send(std::int64_t bytes, std::int32_t route_tag, InlineTask on_delivered);
+  template <typename F>
+  void send(std::int64_t bytes, std::int32_t route_tag, F&& on_delivered) {
+    if (loss_gate_ && loss_gate_()) {
+      ++messages_dropped_;
+      return;  // dropped on the wire: no link time, callback never built
+    }
+    if (count_ == ring_.size()) grow();
+    Message& msg = ring_[(head_ + count_) & (ring_.size() - 1)];
+    msg.on_delivered.emplace(std::forward<F>(on_delivered));  // may throw: not queued
+    msg.bytes = bytes < 0 ? 0 : bytes;
+    msg.route_tag = route_tag;
+    if (++count_ == 1) start_head();
+  }
 
-  [[nodiscard]] std::size_t queue_depth() const { return count_ + (busy_ ? 1 : 0); }
+  /// Messages queued, the one serializing included.
+  [[nodiscard]] std::size_t queue_depth() const { return count_; }
   [[nodiscard]] std::int64_t bytes_sent() const { return bytes_sent_; }
 
   /// Fault injection: when set, the gate is consulted on every send(); a
@@ -64,36 +83,25 @@ class Pipe {
 
  private:
   struct Message {
-    std::int64_t bytes;
-    std::int32_t route_tag;
+    std::int64_t bytes = 0;
+    std::int32_t route_tag = -1;
     InlineTask on_delivered;
   };
 
-  void start_next();
+  void grow();
+  void start_head();
   void on_serialized();
-  void ring_push(Message msg);
-  Message ring_pop();
 
   Simulation& sim_;
   double bytes_per_second_;
   SimDuration latency_;
 
-  // Ring buffer of waiting messages (head_ = oldest, count_ live entries).
+  // Power-of-two ring of messages: ring_[head_] (when count_ > 0) is the
+  // one serializing, the count_ - 1 after it are waiting.
   std::vector<Message> ring_;
   std::size_t head_ = 0;
   std::size_t count_ = 0;
 
-  // The message currently serializing (busy_ == true).
-  std::int64_t current_bytes_ = 0;
-  std::int32_t current_tag_ = -1;
-  InlineTask current_done_;
-
-  // Pooled parking slots for callbacks riding out the propagation delay;
-  // several deliveries can be in flight at once (cut-through overlap).
-  std::vector<InlineTask> delivery_pool_;
-  std::vector<std::uint32_t> delivery_free_;
-
-  bool busy_ = false;
   std::int64_t bytes_sent_ = 0;
   std::function<bool()> loss_gate_;
   DeliveryRoute route_;

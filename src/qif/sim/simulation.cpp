@@ -7,41 +7,59 @@
 namespace qif::sim {
 
 // ---------------------------------------------------------------------------
-// Slot slab
+// Slots
 // ---------------------------------------------------------------------------
 
-std::uint32_t Simulation::acquire_slot() {
-  if (free_head_ != kNil) {
-    const std::uint32_t idx = free_head_;
-    free_head_ = slots_[idx].next_free;
-    slots_[idx].next_free = kNil;
-    return idx;
+void Simulation::grow_slot() {
+  assert(meta_.size() < kNil && "slot space exhausted");
+  const auto idx = static_cast<std::uint32_t>(meta_.size());
+  if ((idx & kChunkMask) == 0) {
+    chunks_.push_back(std::make_unique<InlineTask[]>(std::size_t{kChunkMask} + 1));
   }
-  assert(slots_.size() < kNil && "slot slab exhausted");
-  slots_.emplace_back();
-  heap_pos_.push_back(kNil);
-  return static_cast<std::uint32_t>(slots_.size() - 1);
+  meta_.emplace_back().next_free = free_head_;
+  free_head_ = idx;
 }
 
 void Simulation::release_slot(std::uint32_t idx) {
-  Slot& s = slots_[idx];
-  s.fn.reset();
-  heap_pos_[idx] = kNil;
-  ++s.gen;  // invalidate every outstanding EventId pointing here
-  s.next_free = free_head_;
+  closure(idx).reset();
+  SlotMeta& m = meta_[idx];
+  m.heap_pos = kNil;
+  ++m.gen;  // invalidate every outstanding EventId pointing here
+  m.next_free = free_head_;
   free_head_ = idx;
+}
+
+void Simulation::retire_running(std::uint32_t idx) {
+  // The generation was bumped when the event started; only the closure and
+  // the free-list link remain.
+  closure(idx).reset();
+  meta_[idx].next_free = free_head_;
+  free_head_ = idx;
+  running_ = kNil;
+}
+
+std::uint32_t Simulation::live_slot(EventId id) const {
+  if (id == kInvalidEvent) return kNil;
+  const auto idx = static_cast<std::uint32_t>((id >> 32) - 1);
+  if (idx >= meta_.size()) return kNil;  // never a live handle of this engine
+  if (meta_[idx].gen != static_cast<std::uint32_t>(id)) return kNil;  // fired/cancelled/reused
+  assert(meta_[idx].heap_pos != kNil && "live generation must be queued");
+  return idx;
 }
 
 // ---------------------------------------------------------------------------
 // 4-ary heap keyed on (when, birth, origin, sub)
 // ---------------------------------------------------------------------------
 
-void Simulation::place(std::uint32_t pos, HeapEntry entry) {
+// place and sift_up are inline so their callers keep the 32-byte entry in
+// registers: passed by value out of line it goes through the stack, and
+// re-reading it there stalls behind the caller's pending stores.
+inline void Simulation::place(std::uint32_t pos, const HeapEntry& entry) {
   heap_[pos] = entry;
-  heap_pos_[entry.slot] = pos;
+  meta_[entry.slot].heap_pos = pos;
 }
 
-void Simulation::sift_up(std::uint32_t pos, HeapEntry entry) {
+inline void Simulation::sift_up(std::uint32_t pos, HeapEntry entry) {
   while (pos > 0) {
     const std::uint32_t parent = (pos - 1) / 4;
     if (!precedes(entry, heap_[parent])) break;
@@ -51,21 +69,50 @@ void Simulation::sift_up(std::uint32_t pos, HeapEntry entry) {
   place(pos, entry);
 }
 
+inline std::uint32_t Simulation::min_child(std::uint32_t pos, std::uint32_t n) const {
+  const std::uint64_t first = std::uint64_t{pos} * 4 + 1;
+  if (first >= n) return n;
+  auto best = static_cast<std::uint32_t>(first);
+  const auto last = static_cast<std::uint32_t>(std::min<std::uint64_t>(first + 4, n));
+  for (std::uint32_t c = best + 1; c < last; ++c) {
+    if (precedes(heap_[c], heap_[best])) best = c;
+  }
+  return best;
+}
+
 void Simulation::sift_down(std::uint32_t pos, HeapEntry entry) {
   const auto n = static_cast<std::uint32_t>(heap_.size());
   for (;;) {
-    const std::uint64_t first = std::uint64_t{pos} * 4 + 1;
-    if (first >= n) break;
-    std::uint32_t best = static_cast<std::uint32_t>(first);
-    const auto last = static_cast<std::uint32_t>(std::min<std::uint64_t>(first + 4, n));
-    for (std::uint32_t c = best + 1; c < last; ++c) {
-      if (precedes(heap_[c], heap_[best])) best = c;
-    }
-    if (!precedes(heap_[best], entry)) break;
+    const std::uint32_t best = min_child(pos, n);
+    if (best == n || !precedes(heap_[best], entry)) break;
     place(pos, heap_[best]);
     pos = best;
   }
   place(pos, entry);
+}
+
+void Simulation::reseat(std::uint32_t pos, HeapEntry entry) {
+  if (pos > 0 && precedes(entry, heap_[(pos - 1) / 4])) {
+    sift_up(pos, entry);
+  } else {
+    sift_down(pos, entry);
+  }
+}
+
+void Simulation::pop_root() {
+  const HeapEntry tail = heap_.back();
+  heap_.pop_back();
+  const auto n = static_cast<std::uint32_t>(heap_.size());
+  if (n == 0) return;  // the root was the only entry
+  // Walk the hole from the root down the min-child path to a leaf, then
+  // seat the tail there and sift it up.  Keys are unique, so the heap pops
+  // in the same order as with a top-down sift of the tail.
+  std::uint32_t pos = 0;
+  for (std::uint32_t best = min_child(pos, n); best != n; best = min_child(pos, n)) {
+    place(pos, heap_[best]);
+    pos = best;
+  }
+  sift_up(pos, tail);
 }
 
 void Simulation::heap_erase(std::uint32_t pos) {
@@ -73,81 +120,73 @@ void Simulation::heap_erase(std::uint32_t pos) {
   const HeapEntry tail = heap_.back();
   heap_.pop_back();
   if (pos == heap_.size()) return;  // erased the last entry
-  // Re-seat the tail entry at `pos`; it may need to move either direction.
-  if (pos > 0 && precedes(tail, heap_[(pos - 1) / 4])) {
-    sift_up(pos, tail);
-  } else {
-    sift_down(pos, tail);
-  }
+  reseat(pos, tail);  // the tail may need to move either direction
 }
 
 // ---------------------------------------------------------------------------
 // Public API
 // ---------------------------------------------------------------------------
 
-EventId Simulation::push_event(const HeapEntry& proto, std::uint32_t ctx,
-                               InlineTask fn) {
-  const std::uint32_t idx = acquire_slot();
-  Slot& s = slots_[idx];
-  s.fn = std::move(fn);
-  s.ctx = ctx;
-  HeapEntry entry = proto;
-  entry.slot = idx;
+EventId Simulation::commit(SimTime when, SimTime birth, std::uint64_t origin,
+                           std::uint32_t sub, std::uint32_t ctx) {
+  const std::uint32_t idx = free_head_;
+  SlotMeta& m = meta_[idx];
+  free_head_ = m.next_free;
+  m.next_free = kNil;
+  m.ctx = ctx;
+  const EventId id = (static_cast<EventId>(idx) + 1) << 32 | m.gen;
   heap_.emplace_back();  // sift_up writes the real entry
-  sift_up(static_cast<std::uint32_t>(heap_.size() - 1), entry);
-  return (static_cast<EventId>(idx) + 1) << 32 | s.gen;
-}
-
-EventId Simulation::schedule_at(SimTime when, InlineTask fn) {
-  assert(when >= now_ && "cannot schedule into the past");
-  return push_event(HeapEntry{when, now_, mint_origin(), 0, 0}, ctx_,
-                    std::move(fn));
-}
-
-EventId Simulation::schedule_after_ctx(SimDuration delay, std::uint32_t ctx,
-                                       InlineTask fn) {
-  return push_event(HeapEntry{now_ + delay, now_, mint_origin(), 0, 0}, ctx,
-                    std::move(fn));
-}
-
-EventId Simulation::inject(const EventKey& key, InlineTask fn) {
-  return inject(key, static_cast<std::uint32_t>(key.origin >> kLaneShift),
-                std::move(fn));
-}
-
-EventId Simulation::inject(const EventKey& key, std::uint32_t ctx, InlineTask fn) {
-  assert(key.when >= now_ && "cannot inject into the past");
-  return push_event(HeapEntry{key.when, key.birth, key.origin, 0, key.sub}, ctx,
-                    std::move(fn));
+  sift_up(static_cast<std::uint32_t>(heap_.size() - 1), HeapEntry{when, birth, origin, idx, sub});
+  return id;
 }
 
 void Simulation::cancel(EventId id) {
-  if (id == kInvalidEvent) return;
-  const auto idx = static_cast<std::uint32_t>((id >> 32) - 1);
-  if (idx >= slots_.size()) return;  // never a live handle of this engine
-  Slot& s = slots_[idx];
-  if (s.gen != static_cast<std::uint32_t>(id)) return;  // fired/cancelled/reused
-  assert(heap_pos_[idx] != kNil && "live generation must be queued");
-  heap_erase(heap_pos_[idx]);
+  const std::uint32_t idx = live_slot(id);
+  if (idx == kNil) return;
+  heap_erase(meta_[idx].heap_pos);
   release_slot(idx);
 }
 
+bool Simulation::rearm(EventId id, SimTime when) {
+  assert(when >= now_ && "cannot rearm into the past");
+  const std::uint32_t idx = live_slot(id);
+  if (idx == kNil) return false;
+  // The key and context cancel + schedule_at would mint: birth now, a fresh
+  // origin under the active context.
+  meta_[idx].ctx = ctx_;
+  reseat(meta_[idx].heap_pos, HeapEntry{when, now_, mint_origin(), idx, 0});
+  return true;
+}
+
 std::uint64_t Simulation::run_until(SimTime until) {
+  assert(running_ == kNil && "run_until must not be called from inside an event");
   std::uint64_t ran = 0;
   while (!heap_.empty() && heap_.front().when <= until) {
-    const std::uint32_t idx = heap_.front().slot;
-    now_ = heap_.front().when;
-    cur_birth_ = heap_.front().birth;
-    cur_origin_ = heap_.front().origin;
-    cur_sub_ = heap_.front().sub;
-    ctx_ = slots_[idx].ctx;  // mint everything this event schedules under it
-    // Move the closure out and retire the slot *before* firing so the
-    // closure may freely schedule, cancel, and reuse this very slot.  Its
-    // own id dies with the generation bump, so self-cancel is a no-op.
-    InlineTask fn = std::move(slots_[idx].fn);
-    heap_erase(0);
-    release_slot(idx);
-    fn();
+    const HeapEntry& top = heap_.front();
+    const std::uint32_t idx = top.slot;
+    now_ = top.when;
+    cur_birth_ = top.birth;
+    cur_origin_ = top.origin;
+    cur_sub_ = top.sub;
+    pop_root();
+    // Run the closure where it was built.  Its slot is on neither the heap
+    // nor the free list while it runs, so the closure may schedule (into
+    // other slots, growing new chunks if need be — this one never moves)
+    // and cancel freely; its own id dies with the generation bump, so
+    // self-cancel is a no-op.
+    SlotMeta& m = meta_[idx];  // not held across the call: meta_ may grow
+    ctx_ = m.ctx;  // mint everything this event schedules under it
+    m.heap_pos = kNil;
+    ++m.gen;
+    running_ = idx;
+    InlineTask& fn = closure(idx);
+    try {
+      if (fn) fn();
+    } catch (...) {
+      retire_running(idx);
+      throw;
+    }
+    retire_running(idx);
     ++executed_;
     ++ran;
   }
@@ -161,20 +200,28 @@ std::uint64_t Simulation::run_until(SimTime until) {
 }
 
 bool Simulation::check_invariants() const {
+  const std::size_t slots = meta_.size();
   // Heap property + back-pointers.
   for (std::size_t i = 0; i < heap_.size(); ++i) {
     if (i > 0 && precedes(heap_[i], heap_[(i - 1) / 4])) return false;
     const HeapEntry& e = heap_[i];
-    if (e.slot >= slots_.size()) return false;
-    if (heap_pos_[e.slot] != i) return false;
+    if (e.slot >= slots || e.slot == running_) return false;
+    if (meta_[e.slot].heap_pos != i) return false;
   }
-  // Free list: every entry unqueued, no cycles, and the counts add up.
+  // Free list: every entry unqueued and empty, not the running slot, no
+  // cycles, and the counts add up.
   std::size_t free_count = 0;
-  for (std::uint32_t idx = free_head_; idx != kNil; idx = slots_[idx].next_free) {
-    if (idx >= slots_.size() || heap_pos_[idx] != kNil) return false;
-    if (++free_count > slots_.size()) return false;  // cycle
+  for (std::uint32_t idx = free_head_; idx != kNil; idx = meta_[idx].next_free) {
+    if (idx >= slots || idx == running_ || meta_[idx].heap_pos != kNil) return false;
+    if (closure(idx)) return false;
+    if (++free_count > slots) return false;  // cycle
   }
-  return heap_.size() + free_count == slots_.size();
+  std::size_t running = 0;
+  if (running_ != kNil) {
+    if (running_ >= slots || meta_[running_].heap_pos != kNil) return false;
+    running = 1;
+  }
+  return heap_.size() + free_count + running == slots;
 }
 
 }  // namespace qif::sim

@@ -41,28 +41,39 @@
 //
 // Engine layout (the campaign hot path — see DESIGN.md "Event engine
 // internals"):
-//   * Closures live in InlineTask slots inside a pooled slab; scheduling
-//     never heap-allocates in steady state (freed slots are recycled
-//     through a free list).
+//   * Closures live in InlineTask slots held in fixed-size chunks that never
+//     move.  schedule_* builds the caller's closure directly in a free slot
+//     (InlineFunction::emplace — one move of the caller's lambda), and
+//     run_until invokes it in place: an event's closure is constructed once
+//     and never relocated.  Freed slots are recycled through a free list,
+//     so scheduling never heap-allocates in steady state.
 //   * The heap itself holds 32-byte (when, birth, origin, slot, sub)
 //     entries, so sift operations move small PODs and comparisons never
-//     touch the slab.  4-ary layout halves the tree depth vs. a binary heap
-//     and keeps the children of a node in one cache line.
+//     touch the slots.  4-ary layout halves the tree depth vs. a binary
+//     heap and keeps the children of a node in one cache line.  The root
+//     is popped bottom-up: the hole walks the min-child path to a leaf and
+//     the tail entry sifts up from there (the tail is almost always among
+//     the latest events, so this saves a comparison per level).
 //   * cancel() is a true O(log n) heap removal via a back-pointer into the
 //     heap — no tombstone list to scan at pop time, and nothing
 //     accumulates for ids cancelled after their event already fired.  The
-//     back-pointers live in their own dense array, not in the slots, so a
-//     sift hop writes 4 bytes next to its neighbours' instead of a cold
-//     160-byte slab line.
+//     back-pointers, generations, free-list links and contexts live in a
+//     dense 16-byte-per-slot array, not beside the closures, so a sift hop
+//     or a schedule never touches a cold 144-byte closure cell.  rearm()
+//     moves a pending event to a new time in place, minting the key
+//     cancel + schedule_at would have minted.
 //   * An EventId packs (slot index + 1, slot generation); a stale id —
 //     already fired, already cancelled, or slot since reused — fails the
 //     generation check and cancel() is a no-op, preserving the historical
-//     "cancel after fire is safe" contract.
+//     "cancel after fire is safe" contract.  The generation is bumped
+//     before a closure runs, so an event cancelling itself is a no-op too.
 #pragma once
 
 #include <cassert>
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "qif/sim/inline_task.hpp"
@@ -105,19 +116,36 @@ class Simulation {
   /// Current simulated time.
   [[nodiscard]] SimTime now() const { return now_; }
 
-  /// Schedules `fn` to run at absolute simulated time `when` (must be
-  /// >= now()).  Returns a handle usable with cancel().
-  EventId schedule_at(SimTime when, InlineTask fn);
+  /// Schedules `fn` (any void() callable, an InlineTask, or nullptr for an
+  /// event that only advances the clock) to run at absolute simulated time
+  /// `when` (must be >= now()).  The closure is constructed directly in its
+  /// event slot.  Returns a handle usable with cancel() and rearm().
+  template <typename F>
+  EventId schedule_at(SimTime when, F&& fn) {
+    assert(when >= now_ && "cannot schedule into the past");
+    const std::uint64_t origin = mint_origin();
+    stage(std::forward<F>(fn));
+    return commit(when, now_, origin, 0, ctx_);
+  }
 
   /// Schedules `fn` to run `delay` nanoseconds from now.
-  EventId schedule_after(SimDuration delay, InlineTask fn) {
-    return schedule_at(now_ + delay, std::move(fn));
+  template <typename F>
+  EventId schedule_after(SimDuration delay, F&& fn) {
+    return schedule_at(now_ + delay, std::forward<F>(fn));
   }
 
   /// Cancels a pending event in O(log n).  Safe to call with an id that
   /// already fired or was already cancelled (it becomes a no-op); this is
   /// how timeouts are torn down.
   void cancel(EventId id);
+
+  /// Moves pending event `id` to fire at `when` (>= now()) in O(log n),
+  /// keeping its closure and its id.  The new key — and the context the
+  /// event executes under — are exactly what cancel(id) followed by
+  /// schedule_at(when, same closure) would produce, so the event order is
+  /// identical; only the closure's round trip through a fresh slot is
+  /// saved.  Returns false (and does nothing) for a stale id.
+  bool rearm(EventId id, SimTime when);
 
   /// Runs events until the queue is empty or the clock passes `until`.
   /// Events at exactly `until` still fire.  Returns the number of events
@@ -135,13 +163,16 @@ class Simulation {
   /// unswept tombstones here).
   [[nodiscard]] std::size_t pending() const { return heap_.size(); }
 
-  /// Slots ever allocated (pending + free-listed).  Bounded by the peak
-  /// number of simultaneously pending events — exposed so tests can assert
-  /// that cancel churn and stale cancels do not grow the engine.
-  [[nodiscard]] std::size_t slot_slab_size() const { return slots_.size(); }
+  /// Slots ever allocated (pending + free-listed + the one running).
+  /// Bounded by the peak number of simultaneously live events — exposed so
+  /// tests can assert that cancel churn and stale cancels do not grow the
+  /// engine.
+  [[nodiscard]] std::size_t slot_slab_size() const { return meta_.size(); }
 
   /// Full structural self-check: heap property, back-pointer consistency,
-  /// free-list integrity.  O(n); used by tests and debug assertions.
+  /// free-list integrity, and the running event's slot (on neither the
+  /// heap nor the free list).  O(n); used by tests and debug assertions,
+  /// and valid inside an executing closure.
   [[nodiscard]] bool check_invariants() const;
 
   // --- Lane-engine surface (sim/lanes.hpp). -------------------------------
@@ -192,21 +223,35 @@ class Simulation {
   /// carrying its creator's stamp).  `key.when` must be >= now().  The
   /// delivered event executes under the context packed into the key's high
   /// origin bits (its creator's context).
-  EventId inject(const EventKey& key, InlineTask fn);
+  template <typename F>
+  EventId inject(const EventKey& key, F&& fn) {
+    return inject(key, static_cast<std::uint32_t>(key.origin >> kLaneShift),
+                  std::forward<F>(fn));
+  }
 
   /// Like inject(), but the delivered event executes under `ctx` — the
   /// destination entity's context.  The lane fabric re-tags every delivery
   /// at the engine boundary with this overload so everything the delivered
   /// hop schedules is minted against the destination entity, independent of
   /// which engine the sender lived on.
-  EventId inject(const EventKey& key, std::uint32_t ctx, InlineTask fn);
+  template <typename F>
+  EventId inject(const EventKey& key, std::uint32_t ctx, F&& fn) {
+    assert(key.when >= now_ && "cannot inject into the past");
+    stage(std::forward<F>(fn));
+    return commit(key.when, key.birth, key.origin, key.sub, ctx);
+  }
 
   /// Schedules `fn` to run `delay` from now, executing under `ctx` instead
   /// of inheriting the scheduler's context.  The minted key is identical to
   /// schedule_after's, which is in turn identical to the consume_origin +
   /// inject pair the fabric uses for a cross-engine hop — so a hop delivers
   /// with the same key and context whether or not it crosses engines.
-  EventId schedule_after_ctx(SimDuration delay, std::uint32_t ctx, InlineTask fn);
+  template <typename F>
+  EventId schedule_after_ctx(SimDuration delay, std::uint32_t ctx, F&& fn) {
+    const std::uint64_t origin = mint_origin();
+    stage(std::forward<F>(fn));
+    return commit(now_ + delay, now_, origin, 0, ctx);
+  }
 
   /// Key of the event currently executing (valid inside an event closure).
   [[nodiscard]] EventKey current_key() const {
@@ -228,6 +273,11 @@ class Simulation {
   /// Origin layout: high bits lane id, low bits the per-engine counter.
   /// 44 bits ≈ 17e12 events per lane before overflow — far beyond any run.
   static constexpr unsigned kLaneShift = 44;
+  /// Closure cells per chunk (256 x 144 bytes = 36 KiB).  Chunks never
+  /// move, so a running closure stays put while it schedules into fresh
+  /// chunks.
+  static constexpr unsigned kChunkShift = 8;
+  static constexpr std::uint32_t kChunkMask = (1u << kChunkShift) - 1;
 
   struct HeapEntry {
     SimTime when;
@@ -237,11 +287,15 @@ class Simulation {
     std::uint32_t sub;
   };
 
-  struct Slot {
-    InlineTask fn;
-    std::uint32_t gen = 0;          // bumped on release; validates EventIds
+  /// Per-slot bookkeeping, kept dense beside the closure cells: the free
+  /// list, the id check and every sift hop touch these 16 bytes and never
+  /// a cold closure cell, which only its own event's construction and
+  /// invocation reach.
+  struct SlotMeta {
+    std::uint32_t heap_pos = kNil;   // position in heap_, kNil when not queued
+    std::uint32_t gen = 0;           // bumped on release; validates EventIds
     std::uint32_t next_free = kNil;
-    std::uint32_t ctx = 0;  // entity context the event executes under
+    std::uint32_t ctx = 0;           // entity context the event executes under
   };
 
   static bool precedes(const HeapEntry& a, const HeapEntry& b) {
@@ -254,14 +308,42 @@ class Simulation {
     return a.sub < b.sub;
   }
 
-  std::uint32_t acquire_slot();
+  [[nodiscard]] InlineTask& closure(std::uint32_t idx) {
+    return chunks_[idx >> kChunkShift][idx & kChunkMask];
+  }
+  [[nodiscard]] const InlineTask& closure(std::uint32_t idx) const {
+    return chunks_[idx >> kChunkShift][idx & kChunkMask];
+  }
+
+  /// Builds `fn` in the (empty) slot at the head of the free list, growing
+  /// the slots when the list is empty.  The slot stays on the free list
+  /// until commit(), so a throwing closure constructor strands no slot.
+  template <typename F>
+  void stage(F&& fn) {
+    if (free_head_ == kNil) grow_slot();
+    closure(free_head_).emplace(std::forward<F>(fn));
+  }
+  /// Takes the staged slot off the free list and queues it under the key
+  /// (when, birth, origin, sub), to execute under `ctx`.  Scalar arguments
+  /// travel in registers; a by-value HeapEntry would take a trip through
+  /// the stack on every schedule.
+  EventId commit(SimTime when, SimTime birth, std::uint64_t origin, std::uint32_t sub,
+                 std::uint32_t ctx);
+  void grow_slot();
   void release_slot(std::uint32_t idx);
-  void place(std::uint32_t pos, HeapEntry entry);  // write entry + back-pointer
+  void retire_running(std::uint32_t idx);
+  void place(std::uint32_t pos, const HeapEntry& entry);  // write entry + back-pointer
   void sift_up(std::uint32_t pos, HeapEntry entry);
   void sift_down(std::uint32_t pos, HeapEntry entry);
+  /// Index of the smallest child of `pos` among the first `n` entries, or
+  /// `n` when `pos` has none.
+  [[nodiscard]] std::uint32_t min_child(std::uint32_t pos, std::uint32_t n) const;
+  /// Seats `entry` at `pos`, sifting up or down as its key requires.
+  void reseat(std::uint32_t pos, HeapEntry entry);
+  void pop_root();
   void heap_erase(std::uint32_t pos);
-
-  EventId push_event(const HeapEntry& proto, std::uint32_t ctx, InlineTask fn);
+  /// Slot index of `id` if it names a pending event, else kNil.
+  [[nodiscard]] std::uint32_t live_slot(EventId id) const;
 
   /// Mints the next origin under the active context (entity mode) or the
   /// engine-global lane-tagged counter (classic mode — byte-identical to
@@ -290,9 +372,10 @@ class Simulation {
   std::uint64_t cur_origin_ = 0;
   std::uint32_t cur_sub_ = 0;
   std::vector<HeapEntry> heap_;
-  std::vector<Slot> slots_;
-  std::vector<std::uint32_t> heap_pos_;  // per slot: position in heap_, kNil when free
+  std::vector<std::unique_ptr<InlineTask[]>> chunks_;  // closure cells
+  std::vector<SlotMeta> meta_;                         // one per slot
   std::uint32_t free_head_ = kNil;
+  std::uint32_t running_ = kNil;  // slot of the executing event, kNil outside run_until
 };
 
 }  // namespace qif::sim

@@ -102,19 +102,16 @@ void ProgramExecutor::execute(const OpSpec& op) {
       // of overflowing now + think when stop_at is "never").  step() never
       // dispatches at or past stop_at, so the remaining gap is positive.
       const sim::SimDuration remaining = options_.stop_at - clientwise_now();
-      clientwise_schedule(std::min(op.think, remaining), next);
+      client_.sim().schedule_after(std::min(op.think, remaining), next);
       break;
     }
   }
 }
 
-// Small indirections so the executor does not need the full Cluster header
+// Small indirection so the executor does not need the full Cluster header
 // in its own header.
 sim::SimTime ProgramExecutor::clientwise_now() const {
   return client_.sim().now();
-}
-void ProgramExecutor::clientwise_schedule(sim::SimDuration delay, std::function<void()> fn) {
-  client_.sim().schedule_after(delay, std::move(fn));
 }
 
 }  // namespace qif::workloads

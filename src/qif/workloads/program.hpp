@@ -97,7 +97,6 @@ class ProgramExecutor {
   void execute(const OpSpec& op);
   void finish();
   [[nodiscard]] sim::SimTime clientwise_now() const;
-  void clientwise_schedule(sim::SimDuration delay, std::function<void()> fn);
   [[nodiscard]] const std::vector<OpSpec>& current_seq() const {
     return in_prologue_ ? program_.prologue : program_.body;
   }

@@ -2,8 +2,13 @@
 // round robin admission, and extent coalescing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "qif/pfs/disk.hpp"
 #include "qif/pfs/writeback.hpp"
+#include "qif/sim/rng.hpp"
 #include "qif/sim/simulation.hpp"
 
 namespace qif::pfs {
@@ -191,6 +196,82 @@ TEST(Writeback, LazyFlushCoalescesLightWriters) {
   EXPECT_EQ(cache.total_flushed(), 8 * 4096);
   const auto c = disk.counters();
   EXPECT_LE(c.writes_completed - c.write_merges, 2);
+}
+
+TEST(Writeback, RandomWriteForgetFlushMatchesByteReference) {
+  // The dirty-extent map against a bitmap of dirty bytes.  Phase 1 holds
+  // the flusher off (sim time frozen) and checks dirty_bytes() after every
+  // write (coalescing overlapping and adjacent extents) and forget
+  // (trimming, and splitting an extent when the range is strictly inside
+  // it), with more than 1000 extents live.  Phase 2 interleaves flushing
+  // in 512-byte chunks — which trims extents from the head — with more
+  // writes and forgets, and checks conservation once everything drained:
+  // every byte made dirty is either flushed or forgotten, exactly once.
+  constexpr std::int64_t kRange = 48 << 10;
+  sim::Simulation s;
+  DiskModel disk(s, fast_disk(), 3);
+  WritebackParams wp;
+  wp.dirty_limit_bytes = 1ll << 40;   // never throttle
+  wp.dirty_target_bytes = 1ll << 40;  // always the lazy flusher
+  wp.flush_chunk_bytes = 512;
+  wp.background_flush_delay = sim::kSecond;
+  WritebackCache cache(s, disk, wp);
+  std::vector<bool> dirty(static_cast<std::size_t>(kRange), false);
+  std::int64_t dirty_count = 0;
+  sim::Rng rng(0xD1271);
+  std::size_t peak_runs = 0;
+  std::int64_t made_dirty = 0;  // sum of dirty_bytes() increases on write
+  std::int64_t forgotten = 0;   // sum of dirty_bytes() decreases on forget
+  for (int op = 0; op < 6000; ++op) {
+    const std::int64_t off = rng.uniform_int(0, kRange - 64);
+    const std::int64_t len = rng.chance(0.95) ? rng.uniform_int(1, 9) : rng.uniform_int(10, 60);
+    const std::int64_t before = cache.dirty_bytes();
+    if (rng.chance(0.7)) {
+      cache.write(off, len, nullptr);
+      for (std::int64_t b = off; b < off + len; ++b) {
+        dirty_count += dirty[static_cast<std::size_t>(b)] ? 0 : 1;
+        dirty[static_cast<std::size_t>(b)] = true;
+      }
+      made_dirty += cache.dirty_bytes() - before;
+    } else {
+      cache.forget(off, len);
+      for (std::int64_t b = off; b < off + len; ++b) {
+        dirty_count -= dirty[static_cast<std::size_t>(b)] ? 1 : 0;
+        dirty[static_cast<std::size_t>(b)] = false;
+      }
+      forgotten += before - cache.dirty_bytes();
+    }
+    ASSERT_EQ(cache.dirty_bytes(), dirty_count) << "op " << op;
+    if (op % 8 != 0) continue;
+    std::size_t runs = 0;
+    for (std::int64_t b = 0; b < kRange; ++b) {
+      runs += dirty[static_cast<std::size_t>(b)] && (b == 0 || !dirty[static_cast<std::size_t>(b - 1)]);
+    }
+    peak_runs = std::max(peak_runs, runs);
+  }
+  EXPECT_GE(peak_runs, 1000u);
+  ASSERT_EQ(s.now(), 0);  // the flusher never ran in phase 1
+
+  // Phase 2: flushing in flight while the map keeps changing.
+  for (int round = 0; round < 40; ++round) {
+    s.run_until(s.now() + sim::kSecond + rng.uniform_int(0, 30) * sim::kMillisecond);
+    for (int k = 0; k < 40; ++k) {
+      const std::int64_t off = rng.uniform_int(0, kRange - 2048);
+      const std::int64_t len = rng.uniform_int(1, 2048);
+      const std::int64_t before = cache.dirty_bytes();
+      if (rng.chance(0.5)) {
+        cache.write(off, len, nullptr);
+        made_dirty += cache.dirty_bytes() - before;
+      } else {
+        cache.forget(off, len);
+        forgotten += before - cache.dirty_bytes();
+      }
+    }
+  }
+  s.run_all();
+  EXPECT_EQ(cache.dirty_bytes(), 0);
+  EXPECT_EQ(cache.total_flushed(), made_dirty - forgotten);
+  EXPECT_GT(cache.total_flushed(), 0);
 }
 
 // Property: under any load mix, every ack fires and dirty drains to zero.

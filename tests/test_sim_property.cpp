@@ -1,8 +1,10 @@
 // Property tests for the pooled 4-ary-heap event engine: random
-// schedule/cancel/run workloads are mirrored into a naive reference
+// schedule/cancel/rearm/run workloads are mirrored into a naive reference
 // scheduler (a plain vector scanned for the (when, seq) minimum), and the
 // two must agree on the exact firing order and pending count at every
-// step, with the engine's structural invariants holding throughout.
+// step, with the engine's structural invariants holding throughout.  A
+// rearm is modelled in the reference as a cancel plus a schedule of the
+// same token, which is exactly the key contract of Simulation::rearm.
 //
 // The reference is deliberately simple enough to be obviously correct:
 // that is the whole point — any divergence is an engine bug, including
@@ -69,6 +71,19 @@ class ReferenceScheduler {
     }
   }
 
+  /// Mirrors Simulation::rearm as cancel + schedule of the same token.
+  /// Returns the new seq, or 0 when `seq` is no longer pending.
+  std::uint64_t rearm(std::uint64_t seq, SimTime when) {
+    for (auto it = pending_.begin(); it != pending_.end(); ++it) {
+      if (it->seq == seq) {
+        const Event ev = *it;
+        pending_.erase(it);
+        return schedule(when, ev.token, ev.chain_delay);
+      }
+    }
+    return 0;
+  }
+
   [[nodiscard]] std::size_t pending() const { return pending_.size(); }
 
  private:
@@ -92,7 +107,7 @@ void run_round(std::uint64_t seed, int ops) {
 
   for (int op = 0; op < ops; ++op) {
     const double roll = rng.next_double();
-    if (roll < 0.60 || sim_handles.empty()) {
+    if (roll < 0.55 || sim_handles.empty()) {
       // Schedule.  Coarse time quantization forces plenty of (when, seq)
       // ties, exercising the FIFO tie-break.
       const SimTime when = cursor + rng.uniform_int(0, 40) * 100;
@@ -110,7 +125,7 @@ void run_round(std::uint64_t seed, int ops) {
             sim.schedule_at(when, [&sim_log, token] { sim_log.push_back(token); }));
       }
       ref_handles.push_back(ref.schedule(when, token, chain_delay));
-    } else if (roll < 0.80) {
+    } else if (roll < 0.70) {
       // Cancel a random handle — possibly one that already fired or was
       // already cancelled (both engines treat that as a no-op).
       const auto pick = static_cast<std::size_t>(
@@ -121,6 +136,17 @@ void run_round(std::uint64_t seed, int ops) {
         sim.cancel(sim_handles[pick]);
         ref.cancel(ref_handles[pick]);
       }
+    } else if (roll < 0.82) {
+      // Rearm a random handle to a new time, possibly one that already
+      // fired or was cancelled (a no-op in both), possibly earlier than
+      // its current time, often onto a tie.
+      const auto pick = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(sim_handles.size()) - 1));
+      const SimTime when = cursor + rng.uniform_int(0, 40) * 100;
+      const bool moved = sim.rearm(sim_handles[pick], when);
+      const std::uint64_t seq = ref.rearm(ref_handles[pick], when);
+      ASSERT_EQ(moved, seq != 0) << "op " << op << " seed " << seed;
+      if (moved) ref_handles[pick] = seq;
     } else {
       // Advance the clock.
       cursor += rng.uniform_int(0, 1500);

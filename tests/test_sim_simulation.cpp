@@ -229,6 +229,150 @@ TEST(Simulation, InterleavedCancelKeepsHeapConsistent) {
   EXPECT_EQ(s.pending(), 0u);
 }
 
+TEST(Simulation, ClosureSchedulingAcrossSlotChunksFiresInOrder) {
+  // A running closure stays in its slot while it schedules thousands of
+  // events, so the engine must grow new slot chunks around it without
+  // moving it — and every event must still fire, in order.
+  Simulation s;
+  std::vector<int> order;
+  bool inner_ok = false;
+  s.schedule_at(1, [&] {
+    for (int i = 0; i < 3000; ++i) {
+      // Three events per tick, scheduled out of time order.
+      s.schedule_at(2 + (2999 - i) / 3, [&order, i] { order.push_back(i); });
+    }
+    inner_ok = s.check_invariants() && s.pending() == 3000;
+  });
+  s.run_all();
+  EXPECT_TRUE(inner_ok);
+  ASSERT_EQ(order.size(), 3000u);
+  std::vector<int> expected;
+  for (int tick = 0; tick < 1000; ++tick) {
+    // Within a tick, scheduling order; ticks ascend as i descends.
+    for (int k = 0; k < 3; ++k) expected.push_back(2999 - (3 * tick + (2 - k)));
+  }
+  EXPECT_EQ(order, expected);
+  EXPECT_GE(s.slot_slab_size(), 3001u);
+  EXPECT_EQ(s.pending(), 0u);
+  EXPECT_TRUE(s.check_invariants());
+}
+
+TEST(Simulation, InvariantsHoldInsideRunningClosure) {
+  // While a closure runs, its slot is on neither the heap nor the free
+  // list; the self-check must account for it, before and after the closure
+  // schedules, cancels, and cancels itself.
+  Simulation s;
+  std::vector<bool> checks;
+  EventId self = kInvalidEvent;
+  EventId other = s.schedule_at(20, [] {});
+  self = s.schedule_at(10, [&] {
+    checks.push_back(s.check_invariants());
+    const EventId a = s.schedule_after(5, [] {});
+    s.schedule_after(7, [] {});
+    checks.push_back(s.check_invariants());
+    s.cancel(a);
+    s.cancel(other);
+    s.cancel(self);  // its own id died when it started: a no-op
+    checks.push_back(s.check_invariants());
+    checks.push_back(s.pending() == 1);
+  });
+  s.run_all();
+  EXPECT_EQ(checks, (std::vector<bool>{true, true, true, true}));
+  EXPECT_EQ(s.events_executed(), 2u);
+  EXPECT_TRUE(s.check_invariants());
+}
+
+TEST(Simulation, EmptyClosureIsAnEventThatOnlyAdvancesTheClock) {
+  Simulation s;
+  s.schedule_at(5, nullptr);
+  s.schedule_at(9, InlineTask{});
+  EXPECT_EQ(s.pending(), 2u);
+  s.run_all();
+  EXPECT_EQ(s.events_executed(), 2u);
+  EXPECT_EQ(s.now(), 9);
+  EXPECT_TRUE(s.check_invariants());
+}
+
+TEST(Simulation, RearmMovesPendingEventLikeCancelPlusSchedule) {
+  // Twin engines: one moves its event with rearm, the other cancels and
+  // re-schedules.  The firing order — including ties at the new time,
+  // which the fresh origin puts after everything already scheduled — and
+  // the clock must match.
+  auto run = [](bool use_rearm) {
+    Simulation s;
+    std::vector<int> order;
+    const EventId moved = s.schedule_at(10, [&order] { order.push_back(0); });
+    s.schedule_at(30, [&order] { order.push_back(1); });
+    s.schedule_at(5, [&s, &order, moved, use_rearm] {
+      order.push_back(2);
+      s.schedule_at(30, [&order] { order.push_back(3); });
+      if (use_rearm) {
+        EXPECT_TRUE(s.rearm(moved, 30));
+      } else {
+        s.cancel(moved);
+        s.schedule_at(30, [&order] { order.push_back(0); });
+      }
+      s.schedule_at(30, [&order] { order.push_back(4); });
+    });
+    s.run_all();
+    EXPECT_TRUE(s.check_invariants());
+    return order;
+  };
+  EXPECT_EQ(run(true), run(false));
+  EXPECT_EQ(run(true), (std::vector<int>{2, 1, 3, 0, 4}));
+}
+
+TEST(Simulation, RearmOfStaleIdIsANoOp) {
+  Simulation s;
+  int fired = 0;
+  const EventId id = s.schedule_at(10, [&fired] { ++fired; });
+  s.run_all();
+  EXPECT_FALSE(s.rearm(id, 50));
+  const EventId cancelled = s.schedule_at(20, [&fired] { ++fired; });
+  s.cancel(cancelled);
+  EXPECT_FALSE(s.rearm(cancelled, 30));
+  EXPECT_FALSE(s.rearm(kInvalidEvent, 30));
+  EXPECT_EQ(s.pending(), 0u);
+  s.run_all();
+  EXPECT_EQ(fired, 1);
+  EXPECT_TRUE(s.check_invariants());
+}
+
+TEST(Simulation, ScheduledClosureIsMovedAtMostOnceAndRunInPlace) {
+  // Zero-copy pin: scheduling builds the caller's lambda in its slot with
+  // one move, and firing runs it where it is — no relocation at all.
+  struct Counter {
+    int* moves;
+    int* copies;
+    Counter(int* m, int* c) : moves(m), copies(c) {}
+    Counter(const Counter& o) : moves(o.moves), copies(o.copies) { ++*copies; }
+    Counter(Counter&& o) noexcept : moves(o.moves), copies(o.copies) { ++*moves; }
+    Counter& operator=(const Counter&) = delete;
+    Counter& operator=(Counter&&) = delete;
+    ~Counter() = default;
+  };
+  int moves = 0;
+  int copies = 0;
+  int fired = 0;
+  Simulation s;
+  // Filler events so the tracked one sits among heap siblings.
+  for (int i = 0; i < 50; ++i) s.schedule_at(i % 7, [] {});
+  auto fn = [c = Counter(&moves, &copies), &fired] {
+    (void)c;
+    ++fired;
+  };
+  moves = 0;
+  s.schedule_at(3, std::move(fn));
+  EXPECT_LE(moves, 1);
+  EXPECT_EQ(copies, 0);
+  moves = 0;
+  for (int i = 0; i < 50; ++i) s.schedule_at(i % 5, [] {});
+  s.run_all();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(moves, 0);
+  EXPECT_EQ(copies, 0);
+}
+
 TEST(InlineTask, MoveTransfersClosureAndEmptiesSource) {
   int hits = 0;
   InlineTask a = [&hits] { ++hits; };
