@@ -5,9 +5,10 @@
 # AddressSanitizer leg over the .qds corruption-fuzz and reader tests so
 # hostile bytes can never turn into a silent out-of-bounds read (the same
 # leg fuzzes the .qifm model parser and the trainer's width checks, runs
-# the scenario tests with LeakSanitizer on, and runs the event engine and
-# extent-map tests), and an UndefinedBehaviorSanitizer leg over the
-# trace-storage, event-engine and extent-map tests.
+# the scenario tests with LeakSanitizer on, and runs the event engine,
+# extent-map, GEMM and network tests), and an
+# UndefinedBehaviorSanitizer leg over the trace-storage, event-engine,
+# extent-map, GEMM and network tests.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -74,10 +75,14 @@ echo "=== tier-1: .qds/.qwp corruption fuzz and scenario leaks under ASan ==="
 # test_serve_registry truncates, bit-flips and forges headers of the .qifm
 # model file — the only model parser that reads outside bytes — and
 # test_ml_trainer evaluates models on rows of the wrong width, which used
-# to read past every row.
+# to read past every row, and trains and evaluates on labels outside the
+# class count, which used to index past the loss and confusion buffers.
+# The GEMM, layer and network tests cover the NT path's transpose indexing
+# into its grow-once scratch and the padded tail rows.
 cmake -B build-asan -S . -DQIF_SANITIZE=address
 cmake --build build-asan -j --target test_qds_fuzz test_export test_streaming \
   test_qwp test_replay test_trace test_serve_registry test_ml_trainer \
+  test_ml_gemm test_ml_nn test_ml_kernelnet test_ml_attention \
   test_sim_golden test_core test_sim_lanes test_pfs_client test_pfs_faults \
   test_campaign_mitigate test_sim_simulation test_sim_property test_sim_links \
   test_pfs_read_cache test_pfs_writeback
@@ -88,6 +93,10 @@ cmake --build build-asan -j --target test_qds_fuzz test_export test_streaming \
 ./build-asan/tests/test_replay
 ./build-asan/tests/test_serve_registry
 ./build-asan/tests/test_ml_trainer
+./build-asan/tests/test_ml_gemm
+./build-asan/tests/test_ml_nn
+./build-asan/tests/test_ml_kernelnet
+./build-asan/tests/test_ml_attention
 # A scenario's trace is handed out by move while the client monitor that
 # observed it dies with the run's stack frame: recording into the returned
 # trace must never call back into it (ASan sees the dead frame only with
@@ -114,15 +123,17 @@ ASAN_OPTIONS=detect_leaks=1 ./build-asan/tests/test_campaign_mitigate
 ./build-asan/tests/test_pfs_read_cache
 ./build-asan/tests/test_pfs_writeback
 
-echo "=== tier-1: trace storage, event engine and extent maps under UBSan ==="
+echo "=== tier-1: trace storage, event engine, extent maps and GEMM under UBSan ==="
 # The trace log's fixed blocks and the records' inline target lists do
 # their own index arithmetic and union storage; every test that records,
 # dumps, replays, observes or fingerprints traces runs with UB trapping.
-# So do the engine's chunked slot indexing and in-place closure storage
-# and the flat extent maps' index arithmetic.
+# So do the engine's chunked slot indexing and in-place closure storage,
+# the flat extent maps' index arithmetic, and the GEMM's transpose and
+# padded-tile indexing under every layer and network.
 cmake -B build-ubsan -S . -DQIF_SANITIZE=undefined
 cmake --build build-ubsan -j --target test_trace test_export test_replay test_monitor \
-  test_pfs_client test_sim_golden test_sim_simulation test_pfs_read_cache test_pfs_writeback
+  test_pfs_client test_sim_golden test_sim_simulation test_pfs_read_cache test_pfs_writeback \
+  test_ml_gemm test_ml_nn test_ml_kernelnet test_ml_attention
 ./build-ubsan/tests/test_trace
 ./build-ubsan/tests/test_export
 ./build-ubsan/tests/test_replay
@@ -132,6 +143,10 @@ cmake --build build-ubsan -j --target test_trace test_export test_replay test_mo
 ./build-ubsan/tests/test_sim_simulation
 ./build-ubsan/tests/test_pfs_read_cache
 ./build-ubsan/tests/test_pfs_writeback
+./build-ubsan/tests/test_ml_gemm
+./build-ubsan/tests/test_ml_nn
+./build-ubsan/tests/test_ml_kernelnet
+./build-ubsan/tests/test_ml_attention
 
 echo "=== tier-1: benchmark smoke ==="
 # Includes the lane smoke: `qif run --lanes 4` must print the same trace

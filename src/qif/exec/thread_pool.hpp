@@ -7,11 +7,13 @@
 // work-stealing-free: a single FIFO queue guarded by one mutex is ample
 // when each task is a multi-millisecond discrete-event simulation, and it
 // keeps the execution model simple enough to reason about under TSan.
+// The queue is a grow-once ring, and for_each_index keeps its batch state
+// on the caller's stack, so the training GEMM's per-layer fan-out
+// allocates nothing once the ring has reached its working size.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -42,14 +44,21 @@ class ThreadPool {
   /// Each index runs exactly once.  If any invocation throws, the exception
   /// thrown for the *lowest* index is rethrown after every task has
   /// finished, so error reporting is deterministic regardless of worker
-  /// interleaving.
+  /// interleaving.  Allocation-free when no task throws.
   void for_each_index(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:
   void worker_loop();
+  // Both require mu_ held; push_locked also requires a free slot.
+  void push_locked(std::function<void()> task);
+  void grow_queue();
 
   std::vector<std::thread> workers_;
-  std::deque<std::function<void()>> queue_;
+  // FIFO ring: queue_size_ tasks starting at queue_[queue_head_]; doubles
+  // when full and never shrinks.
+  std::vector<std::function<void()>> queue_;
+  std::size_t queue_head_ = 0;
+  std::size_t queue_size_ = 0;
   std::mutex mu_;
   std::condition_variable work_cv_;   ///< signalled on submit / stop
   std::condition_variable idle_cv_;   ///< signalled when the pool drains

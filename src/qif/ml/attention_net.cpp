@@ -52,7 +52,7 @@ const Matrix& AttentionNet::forward(MatView x) {
   cache_.embed = &embed_relu_.forward(embed_.forward(x.reshaped(b * s, d), pool_));
   const Matrix& u = attn_tanh_.forward(attn_hidden_.forward(*cache_.embed, pool_));
   const Matrix& scores = attn_score_.forward(u, pool_);
-  cache_.alpha = SoftmaxXent::softmax(scores.reshaped(b, s));
+  SoftmaxXent::softmax_into(MatView(scores).reshaped(b, s), cache_.alpha);
   pool_into(*cache_.embed, cache_.alpha, cache_.pooled);
 
   MatView h = cache_.pooled;
@@ -101,7 +101,8 @@ void AttentionNet::backward(MatView dlogits) {
   for (std::size_t i = 0; i < dembed_.size(); ++i) {
     dembed_.data()[i] += dembed_attn.data()[i];
   }
-  embed_.backward(embed_relu_.backward(dembed_), pool_);
+  // embed_ is the input layer: its dX has no consumer.
+  embed_.backward_params(embed_relu_.backward(dembed_), pool_);
 }
 
 void AttentionNet::step(const AdamParams& params, std::int64_t t) {

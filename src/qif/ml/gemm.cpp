@@ -33,14 +33,31 @@ constexpr std::size_t kParallelMinMadds = std::size_t{1} << 17;
 // rounds differently depending on which loop computed it.  Instead the
 // final partial tile is padded to a full kMr-row micro-kernel: padded
 // lanes re-read the tile's first row (any in-bounds row works — the lanes
-// are value-independent) and write into this discarded per-thread scratch
-// row.  Each logical row therefore always runs at tile lane (row % kMr)
-// through the one compiled kernel body, at the cost of at most kMr-1 rows
-// of wasted arithmetic on the tail.
+// are value-independent) and write into this discarded scratch row.  Each
+// logical row therefore always runs at tile lane (row % kMr) through the
+// one compiled kernel body, at the cost of at most kMr-1 rows of wasted
+// arithmetic on the tail.  The row belongs to the calling thread: row
+// blocks are kMr-aligned, so only the block holding the last row can have
+// a padded tile, and pool workers need no scratch of their own.
 double* pad_row(std::size_t n) {
   thread_local std::vector<double> buf;
   if (buf.size() < n) buf.resize(n);
   return buf.data();
+}
+
+// NT runs on the NN kernel: B (n x k) is first transposed into this
+// calling-thread scratch as Bᵀ (k x n); pool workers only read it while
+// the caller waits in run_rows.  Like pad_row it only grows, so once the
+// largest layer has been seen the backward pass allocates nothing.
+double* transpose_into_scratch(MatView b) {
+  thread_local std::vector<double> buf;
+  if (buf.size() < b.size()) buf.resize(b.size());
+  double* bt = buf.data();
+  for (std::size_t j = 0; j < b.rows; ++j) {
+    const double* src = b.row(j);
+    for (std::size_t kk = 0; kk < b.cols; ++kk) bt[kk * b.rows + j] = src[kk];
+  }
+  return bt;
 }
 
 // The kernels are compiled once per x86-64 microarchitecture level and
@@ -121,9 +138,15 @@ void run_rows(std::size_t m, std::size_t madds, exec::ThreadPool* pool, const Ro
   std::size_t block = (m + workers - 1) / workers;
   block = ((block + kMr - 1) / kMr) * kMr;
   const std::size_t n_blocks = (m + block - 1) / block;
-  pool->for_each_index(n_blocks, [&](std::size_t t) {
-    const std::size_t lo = t * block;
-    fn(lo, std::min(m, lo + block));
+  // One captured reference fits std::function's inline buffer, so the
+  // fan-out allocates nothing.
+  const struct {
+    std::size_t m, block;
+    const RowsFn& fn;
+  } part{m, block, fn};
+  pool->for_each_index(n_blocks, [&part](std::size_t t) {
+    const std::size_t lo = t * part.block;
+    part.fn(lo, std::min(part.m, lo + part.block));
   });
 }
 
@@ -203,75 +226,6 @@ __attribute__((always_inline)) inline void nn_tn_body(
   }
 }
 
-// ---------------------------------------------------------------------------
-// NT: c(i,j) = sum_k a(i,k) * b(j,k) — a 4x4 block of inner products over
-// eight contiguous operand streams.  The single-accumulator-per-element
-// contract forbids vectorizing the k reduction, so this tile stays 4 wide
-// (16 scalar accumulators); the ISA variants still gain scalar FMA.
-// ---------------------------------------------------------------------------
-constexpr std::size_t kNrDot = 4;
-
-__attribute__((always_inline)) inline void nt_body(std::size_t i0, std::size_t i1,
-                                                   std::size_t n, std::size_t k,
-                                                   const double* __restrict a, std::size_t lda,
-                                                   const double* __restrict b, std::size_t ldb,
-                                                   double* __restrict c, std::size_t ldc,
-                                                   bool accumulate, double* __restrict pad) {
-  for (std::size_t i = i0; i < i1; i += kMr) {
-    // Same padded-tail discipline as nn_tn_body: one compiled tile body,
-    // row r always at lane r % kMr, padding discarded via `pad`.
-    const std::size_t rem = i1 - i;
-    const double* a0 = a + (i + 0) * lda;
-    const double* a1 = a + (rem > 1 ? i + 1 : i) * lda;
-    const double* a2 = a + (rem > 2 ? i + 2 : i) * lda;
-    const double* a3 = a + (rem > 3 ? i + 3 : i) * lda;
-    double* c0 = c + (i + 0) * ldc;
-    double* c1 = rem > 1 ? c + (i + 1) * ldc : pad;
-    double* c2 = rem > 2 ? c + (i + 2) * ldc : pad;
-    double* c3 = rem > 3 ? c + (i + 3) * ldc : pad;
-    std::size_t j = 0;
-    for (; j + kNrDot <= n; j += kNrDot) {
-      const double* b0 = b + (j + 0) * ldb;
-      const double* b1 = b + (j + 1) * ldb;
-      const double* b2 = b + (j + 2) * ldb;
-      const double* b3 = b + (j + 3) * ldb;
-      double s00 = accumulate ? c0[j + 0] : 0.0, s01 = accumulate ? c0[j + 1] : 0.0;
-      double s02 = accumulate ? c0[j + 2] : 0.0, s03 = accumulate ? c0[j + 3] : 0.0;
-      double s10 = accumulate ? c1[j + 0] : 0.0, s11 = accumulate ? c1[j + 1] : 0.0;
-      double s12 = accumulate ? c1[j + 2] : 0.0, s13 = accumulate ? c1[j + 3] : 0.0;
-      double s20 = accumulate ? c2[j + 0] : 0.0, s21 = accumulate ? c2[j + 1] : 0.0;
-      double s22 = accumulate ? c2[j + 2] : 0.0, s23 = accumulate ? c2[j + 3] : 0.0;
-      double s30 = accumulate ? c3[j + 0] : 0.0, s31 = accumulate ? c3[j + 1] : 0.0;
-      double s32 = accumulate ? c3[j + 2] : 0.0, s33 = accumulate ? c3[j + 3] : 0.0;
-      for (std::size_t kk = 0; kk < k; ++kk) {
-        const double v0 = a0[kk], v1 = a1[kk], v2 = a2[kk], v3 = a3[kk];
-        const double w0 = b0[kk], w1 = b1[kk], w2 = b2[kk], w3 = b3[kk];
-        s00 += v0 * w0; s01 += v0 * w1; s02 += v0 * w2; s03 += v0 * w3;
-        s10 += v1 * w0; s11 += v1 * w1; s12 += v1 * w2; s13 += v1 * w3;
-        s20 += v2 * w0; s21 += v2 * w1; s22 += v2 * w2; s23 += v2 * w3;
-        s30 += v3 * w0; s31 += v3 * w1; s32 += v3 * w2; s33 += v3 * w3;
-      }
-      c0[j + 0] = s00; c0[j + 1] = s01; c0[j + 2] = s02; c0[j + 3] = s03;
-      c1[j + 0] = s10; c1[j + 1] = s11; c1[j + 2] = s12; c1[j + 3] = s13;
-      c2[j + 0] = s20; c2[j + 1] = s21; c2[j + 2] = s22; c2[j + 3] = s23;
-      c3[j + 0] = s30; c3[j + 1] = s31; c3[j + 2] = s32; c3[j + 3] = s33;
-    }
-    for (; j < n; ++j) {
-      const double* br = b + j * ldb;
-      double s0 = accumulate ? c0[j] : 0.0, s1 = accumulate ? c1[j] : 0.0;
-      double s2 = accumulate ? c2[j] : 0.0, s3 = accumulate ? c3[j] : 0.0;
-      for (std::size_t kk = 0; kk < k; ++kk) {
-        const double bv = br[kk];
-        s0 += a0[kk] * bv;
-        s1 += a1[kk] * bv;
-        s2 += a2[kk] * bv;
-        s3 += a3[kk] * bv;
-      }
-      c0[j] = s0; c1[j] = s1; c2[j] = s2; c3[j] = s3;
-    }
-  }
-}
-
 // Per-ISA instantiations + dispatcher.  Args are bundled so the wrapper
 // signatures stay readable.
 struct RowsArgs {
@@ -305,8 +259,6 @@ QIF_GEMM_DEFINE_VARIANTS(nn_rows,
 QIF_GEMM_DEFINE_VARIANTS(tn_rows,
                          (nn_tn_body<true>(r.i0, r.i1, r.n, r.k, r.a, r.lda, r.b, r.ldb, r.c,
                                            r.ldc, r.accumulate, r.pad)))
-QIF_GEMM_DEFINE_VARIANTS(nt_rows, (nt_body(r.i0, r.i1, r.n, r.k, r.a, r.lda, r.b, r.ldb, r.c,
-                                           r.ldc, r.accumulate, r.pad)))
 
 #undef QIF_GEMM_DEFINE_VARIANTS
 
@@ -316,9 +268,10 @@ void gemm_nn(MatView a, MatView b, Matrix& c, bool accumulate, exec::ThreadPool*
   check_shapes(a.cols, b.rows, "A.cols vs B.rows");
   prepare_output(c, a.rows, b.cols, accumulate, a, b);
   if (a.rows == 0 || b.cols == 0) return;
+  double* pad = pad_row(b.cols);
   run_rows(a.rows, a.rows * a.cols * b.cols, pool, [&](std::size_t lo, std::size_t hi) {
     nn_rows({lo, hi, b.cols, a.cols, a.ptr, a.cols, b.ptr, b.cols, c.data().data(), c.cols(),
-             accumulate, pad_row(b.cols)});
+             accumulate, pad});
   });
 }
 
@@ -326,9 +279,10 @@ void gemm_tn(MatView a, MatView b, Matrix& c, bool accumulate, exec::ThreadPool*
   check_shapes(a.rows, b.rows, "A.rows vs B.rows");
   prepare_output(c, a.cols, b.cols, accumulate, a, b);
   if (a.cols == 0 || b.cols == 0) return;
+  double* pad = pad_row(b.cols);
   run_rows(a.cols, a.rows * a.cols * b.cols, pool, [&](std::size_t lo, std::size_t hi) {
     tn_rows({lo, hi, b.cols, a.rows, a.ptr, a.cols, b.ptr, b.cols, c.data().data(), c.cols(),
-             accumulate, pad_row(b.cols)});
+             accumulate, pad});
   });
 }
 
@@ -336,9 +290,11 @@ void gemm_nt(MatView a, MatView b, Matrix& c, bool accumulate, exec::ThreadPool*
   check_shapes(a.cols, b.cols, "A.cols vs B.cols");
   prepare_output(c, a.rows, b.rows, accumulate, a, b);
   if (a.rows == 0 || b.rows == 0) return;
+  const double* bt = transpose_into_scratch(b);
+  double* pad = pad_row(b.rows);
   run_rows(a.rows, a.rows * a.cols * b.rows, pool, [&](std::size_t lo, std::size_t hi) {
-    nt_rows({lo, hi, b.rows, a.cols, a.ptr, a.cols, b.ptr, b.cols, c.data().data(), c.cols(),
-             accumulate, pad_row(b.rows)});
+    nn_rows({lo, hi, b.rows, a.cols, a.ptr, a.cols, bt, b.rows, c.data().data(), c.cols(),
+             accumulate, pad});
   });
 }
 

@@ -70,12 +70,14 @@ void KernelNet::backward(MatView dlogits) {
   // the same memory as the (B*S, 1) kernel-output gradient.
   const auto b = d.rows;
   const auto s = static_cast<std::size_t>(config_.n_servers);
+  // The input layer's dX (the gradient w.r.t. the features) has no
+  // consumer, so it runs the parameter-only backward.
   MatView dk = d.reshaped(b * s, 1);
-  dk = kernel_layers_.back().backward(dk, pool_);
-  for (std::size_t l = kernel_layers_.size() - 1; l-- > 0;) {
-    dk = kernel_relus_[l].backward(dk);
+  for (std::size_t l = kernel_layers_.size() - 1; l > 0; --l) {
     dk = kernel_layers_[l].backward(dk, pool_);
+    dk = kernel_relus_[l - 1].backward(dk);
   }
+  kernel_layers_.front().backward_params(dk, pool_);
 }
 
 void KernelNet::step(const AdamParams& params, std::int64_t t) {

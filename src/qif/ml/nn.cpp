@@ -50,6 +50,12 @@ void Dense::forward_into(MatView x, Matrix& y, exec::ThreadPool* pool) const {
 }
 
 const Matrix& Dense::backward(MatView dy, exec::ThreadPool* pool) {
+  backward_params(dy, pool);
+  gemm_nt(dy, w_, dx_, /*accumulate=*/false, pool);
+  return dx_;
+}
+
+void Dense::backward_params(MatView dy, exec::ThreadPool* pool) {
   // Accumulate so several backward calls per step (the shared kernel is
   // applied once per server) sum their gradients before step().
   gemm_tn(x_cache_, dy, dw_, /*accumulate=*/true, pool);
@@ -57,8 +63,6 @@ const Matrix& Dense::backward(MatView dy, exec::ThreadPool* pool) {
     const double* row = dy.row(i);
     for (std::size_t j = 0; j < dy.cols; ++j) db_[j] += row[j];
   }
-  gemm_nt(dy, w_, dx_, /*accumulate=*/false, pool);
-  return dx_;
 }
 
 void Dense::zero_grad() {
@@ -124,10 +128,16 @@ void ReLU::apply_inplace(Matrix& m) {
 
 const Matrix& ReLU::backward(MatView dy) {
   dx_.resize(dy.rows, dy.cols);
-  const double* in = dy.ptr;
-  const double* y = y_.data().data();
-  double* out = dx_.data().data();
-  for (std::size_t i = 0; i < dy.size(); ++i) out[i] = y[i] > 0.0 ? in[i] : 0.0;
+  const double* __restrict in = dy.ptr;
+  const double* __restrict y = y_.data().data();
+  double* __restrict out = dx_.data().data();
+  // dy is loaded unconditionally so the select if-converts into a
+  // vector compare-and-mask; a conditional load compiles to a branch
+  // that mispredicts on random activation signs.
+  for (std::size_t i = 0; i < dy.size(); ++i) {
+    const double g = in[i];
+    out[i] = y[i] > 0.0 ? g : 0.0;
+  }
   return dx_;
 }
 
@@ -209,23 +219,30 @@ void SoftmaxXent::softmax_into(MatView logits, Matrix& out) {
 std::pair<double, Matrix> SoftmaxXent::loss_and_grad(
     const Matrix& logits, const std::vector<int>& labels,
     const std::vector<double>& class_weights) {
-  const std::size_t n = logits.rows();
-  Matrix p = softmax(logits);
+  Matrix d;
+  const double loss = loss_and_grad_into(logits, labels, class_weights, d);
+  return {loss, std::move(d)};
+}
+
+double SoftmaxXent::loss_and_grad_into(MatView logits, const std::vector<int>& labels,
+                                       const std::vector<double>& class_weights,
+                                       Matrix& dlogits) {
+  const std::size_t n = logits.rows;
+  softmax_into(logits, dlogits);
   double loss = 0.0;
   double weight_sum = 0.0;
-  Matrix d = p;
   for (std::size_t i = 0; i < n; ++i) {
     const auto y = static_cast<std::size_t>(labels[i]);
     const double w = class_weights.empty() ? 1.0 : class_weights[y];
-    loss += -w * std::log(std::max(p.at(i, y), 1e-12));
+    double* row = dlogits.row(i);
+    loss += -w * std::log(std::max(row[y], 1e-12));
     weight_sum += w;
-    double* row = d.row(i);
-    for (std::size_t j = 0; j < d.cols(); ++j) row[j] *= w;
+    for (std::size_t j = 0; j < dlogits.cols(); ++j) row[j] *= w;
     row[y] -= w;
   }
   const double norm = weight_sum > 0.0 ? weight_sum : 1.0;
-  for (double& v : d.data()) v /= norm;
-  return {loss / norm, std::move(d)};
+  for (double& v : dlogits.data()) v /= norm;
+  return loss / norm;
 }
 
 }  // namespace qif::ml

@@ -53,6 +53,10 @@ class Dense {
   void forward_into(MatView x, Matrix& y, exec::ThreadPool* pool = nullptr) const;
   /// Backward pass: accumulates dW/db from the cached X, returns dX.
   const Matrix& backward(MatView dy, exec::ThreadPool* pool = nullptr);
+  /// Parameter-only backward for a network's input layer, whose dX
+  /// nobody reads: accumulates the same dW/db as backward(), bit for bit,
+  /// and skips the dY·Wᵀ product.
+  void backward_params(MatView dy, exec::ThreadPool* pool = nullptr);
   /// Applies one Adam update with bias correction at step `t` (1-based)
   /// and clears the gradient accumulators.
   void step(const AdamParams& p, std::int64_t t);
@@ -125,9 +129,17 @@ struct SquaredError {
 /// datasets: IO500 is ~75% positive, DLIO ~20%).
 struct SoftmaxXent {
   /// Returns (loss, dlogits).  `class_weights` empty means uniform.
+  /// Labels must lie in [0, logits.cols); the trainer checks them.
   static std::pair<double, Matrix> loss_and_grad(const Matrix& logits,
                                                  const std::vector<int>& labels,
                                                  const std::vector<double>& class_weights);
+  /// loss_and_grad writing dlogits into a caller-owned buffer (resized in
+  /// place, so a steady-state training loop allocates nothing); returns
+  /// the loss.  Same arithmetic, element for element.  `dlogits` must not
+  /// alias `logits`.
+  static double loss_and_grad_into(MatView logits, const std::vector<int>& labels,
+                                   const std::vector<double>& class_weights,
+                                   Matrix& dlogits);
   /// Row-wise softmax probabilities.
   static Matrix softmax(const Matrix& logits);
   /// Row-wise softmax into a caller-owned buffer (resized in place, so a

@@ -52,6 +52,20 @@ void check_eval_shape(const KernelNet& net, const Standardizer& stdz,
   }
 }
 
+/// Throws naming the first label outside [0, n_classes): the loss and the
+/// confusion matrix index their buffers by label, so one such row would
+/// write out of bounds.
+void check_labels(const monitor::RowAccess& rows, int n_classes, const char* what) {
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const int label = rows.label(i);
+    if (label < 0 || label >= n_classes) {
+      throw std::invalid_argument(std::string(what) + ": row " + std::to_string(i) +
+                                  " has label " + std::to_string(label) + ", the model has " +
+                                  std::to_string(n_classes) + " classes");
+    }
+  }
+}
+
 /// Attaches a pool to the net for the duration of a scope; detaches on
 /// exit so the net never outlives a dangling pool pointer.
 struct PoolGuard {
@@ -74,6 +88,8 @@ TrainResult Trainer::train_rows(KernelNet& net, Standardizer& stdz,
                                 const monitor::RowAccess& rows) const {
   TrainResult result;
   if (rows.empty()) return result;
+  const int n_classes = net.config().n_classes;
+  check_labels(rows, n_classes, "train");
 
   // Validation carve-out for early stopping.  split_rows uses the same
   // RNG stream and ordering as split_dataset did here, so the fit/val
@@ -93,7 +109,6 @@ TrainResult Trainer::train_rows(KernelNet& net, Standardizer& stdz,
   // streaming path inside its RSS budget.
   const std::vector<std::size_t>& vidx = val_idx.empty() ? fit_idx : val_idx;
 
-  const int n_classes = net.config().n_classes;
   const std::vector<double> weights =
       config_.class_weighted ? inverse_frequency_weights(rows, fit_idx, n_classes)
                              : std::vector<double>{};
@@ -111,6 +126,7 @@ TrainResult Trainer::train_rows(KernelNet& net, Standardizer& stdz,
   std::vector<double> best_weights;  // binary snapshot of the best epoch
   Matrix xb;                         // persistent minibatch buffers
   std::vector<int> yb;
+  Matrix dlogits;
   Matrix xv;                         // persistent validation-chunk buffers
   std::vector<int> yv;
   std::vector<std::size_t> vidx_chunk;
@@ -133,7 +149,7 @@ TrainResult Trainer::train_rows(KernelNet& net, Standardizer& stdz,
           std::min(idx.size(), lo + static_cast<std::size_t>(config_.batch_size));
       gather_batch_into(rows, stdz, fit_idx, idx, lo, hi, xb, yb);
       const Matrix& logits = net.forward(xb);
-      auto [loss, dlogits] = SoftmaxXent::loss_and_grad(logits, yb, weights);
+      const double loss = SoftmaxXent::loss_and_grad_into(logits, yb, weights, dlogits);
       net.backward(dlogits);
       net.step(config_.adam, ++adam_t);
       loss_sum += loss;
@@ -188,6 +204,7 @@ ConfusionMatrix Trainer::evaluate_rows(const KernelNet& net, const Standardizer&
   ConfusionMatrix cm(net.config().n_classes);
   if (rows.empty()) return cm;
   check_eval_shape(net, stdz, rows);
+  check_labels(rows, net.config().n_classes, "evaluate");
   constexpr std::size_t kChunk = 1024;  // bounds the gather, not the math:
   // per-row predictions are independent of the chunking.
   Matrix x;

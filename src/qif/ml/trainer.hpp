@@ -60,13 +60,16 @@ class Trainer {
   /// larger than RAM trains within the source's paging budget, and the
   /// resulting model bytes are bit-identical to the in-RAM path at the
   /// same seed.
+  /// Throws std::invalid_argument, naming the first offending row, when a
+  /// label lies outside [0, n_classes) of the net.
   TrainResult train_rows(KernelNet& net, Standardizer& stdz,
                          const monitor::RowAccess& rows) const;
 
   /// Evaluates a trained net on a view, returning its confusion matrix.
   /// Both evaluate calls throw std::invalid_argument, naming both shapes,
   /// when the rows' server count or per-server width differs from the
-  /// net's or the standardizer's.
+  /// net's or the standardizer's, and naming the first offending row when
+  /// a label lies outside [0, n_classes) of the net.
   static ConfusionMatrix evaluate(const KernelNet& net, const Standardizer& stdz,
                                   const monitor::TableView& test);
 

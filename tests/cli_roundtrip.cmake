@@ -71,3 +71,11 @@ run_fail_matching("37 features.*7 x 40"
   ${QIF_CLI} eval --data data.csv --model faulted.qifm)
 run_fail_matching("37 features.*7 x 40"
   ${QIF_CLI} eval --data shards/amrex.qdm --model faulted.qifm)
+# Labels outside the model's class count are refused with the offending
+# row named, instead of indexing past the loss and confusion buffers: a
+# 3-bin dataset (--bins 2,5) cannot train or evaluate a binary model.
+run(${QIF_CLI} campaign amrex --richness 0.5 --bins 2,5 --out multi.csv)
+run_fail_matching("train: row [0-9]+ has label 2, the model has 2 classes"
+  ${QIF_CLI} train --data multi.csv --out bad.qifm --classes 2 --epochs 1)
+run_fail_matching("evaluate: row [0-9]+ has label 2, the model has 2 classes"
+  ${QIF_CLI} eval --data multi.csv --model model.qifm)

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
 #include <stdexcept>
 #include <vector>
 
@@ -50,6 +51,24 @@ TEST(ThreadPool, ForEachIndexRethrowsLowestIndexError) {
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "error at 5");
   }
+}
+
+TEST(ThreadPool, QueueKeepsFifoOrderAcrossWrapAndGrowth) {
+  // One worker runs tasks in queue order.  Eleven tasks advance the ring's
+  // head, then a blocked worker lets 40 tasks wrap the ring and grow it
+  // twice with the head mid-buffer.
+  exec::ThreadPool pool(1);
+  std::vector<int> order;
+  for (int i = 0; i < 11; ++i) pool.submit([&order, i] { order.push_back(i); });
+  pool.wait_idle();
+  std::mutex gate;
+  std::unique_lock<std::mutex> hold(gate);
+  pool.submit([&gate] { const std::lock_guard<std::mutex> wait_for_release(gate); });
+  for (int i = 11; i < 51; ++i) pool.submit([&order, i] { order.push_back(i); });
+  hold.unlock();
+  pool.wait_idle();
+  ASSERT_EQ(order.size(), 51u);
+  for (int i = 0; i < 51; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
 TEST(ThreadPool, DestructorDrainsPendingTasks) {

@@ -72,15 +72,35 @@ void expect_near(const Matrix& got, const Matrix& want, std::size_t k_extent) {
 
 // Shapes chosen to exercise every kernel path: single element, tall/skinny
 // (row-tile tails), short/wide (column-tile tails), sizes straddling the
-// 32/8-wide column tiles, and the 4-wide row tile.
+// 32/8-wide column tiles, and the 4-wide row tile.  The last five are the
+// trainer's dX = dY·Wᵀ shapes at batch 64 (m x k times (n x k)ᵀ: the
+// kernel's 64->32 and 32->1 layers over 7 servers, the 7->32 head layer)
+// and widths that are no multiple of 8 or 32.
 struct Shape {
   std::size_t m, k, n;
 };
 const Shape kShapes[] = {
-    {1, 1, 1},   {4, 1, 4},   {1, 7, 1},    {3, 5, 2},    {100, 3, 2},  {3, 100, 5},
-    {7, 13, 9},  {8, 8, 8},   {33, 17, 33}, {40, 37, 64}, {64, 64, 32}, {31, 2, 65},
-    {5, 40, 24},
+    {1, 1, 1},     {4, 1, 4},    {1, 7, 1},     {3, 5, 2},     {100, 3, 2},   {3, 100, 5},
+    {7, 13, 9},    {8, 8, 8},    {33, 17, 33},  {40, 37, 64},  {64, 64, 32},  {31, 2, 65},
+    {5, 40, 24},   {448, 32, 64}, {64, 32, 7},  {448, 1, 32},  {13, 29, 37},  {6, 3, 45},
 };
+
+// Row-major transpose, for the NT-equals-NN-on-Bᵀ identity.
+Matrix transposed(const Matrix& m) {
+  Matrix t(m.cols(), m.rows());
+  for (std::size_t i = 0; i < m.rows(); ++i) {
+    for (std::size_t j = 0; j < m.cols(); ++j) t.at(j, i) = m.at(i, j);
+  }
+  return t;
+}
+
+void expect_bit_identical(const Matrix& got, const Matrix& want, const char* what) {
+  ASSERT_EQ(got.rows(), want.rows()) << what;
+  ASSERT_EQ(got.cols(), want.cols()) << what;
+  for (std::size_t t = 0; t < got.data().size(); ++t) {
+    ASSERT_EQ(got.data()[t], want.data()[t]) << what << " idx=" << t;
+  }
+}
 
 TEST(Gemm, MatchesReferenceAcrossShapes) {
   for (const auto& s : kShapes) {
@@ -137,6 +157,41 @@ TEST(Gemm, AccumulateAddsOntoExistingOutput) {
     for (std::size_t j = 0; j < c.cols(); ++j) {
       EXPECT_NEAR(c.at(i, j), base.at(i, j) + prod.at(i, j), 1e-11);
     }
+  }
+}
+
+TEST(Gemm, NtAccumulateAddsOntoExistingOutput) {
+  const Matrix a = random_matrix(10, 6, 17);
+  const Matrix b = random_matrix(9, 6, 18);  // C = A·Bᵀ is 10 x 9
+  const Matrix base = random_matrix(10, 9, 19);
+  Matrix c = base;
+  gemm_nt(a, b, c, /*accumulate=*/true);
+  const Matrix prod = ref_nt(a, b);
+  for (std::size_t i = 0; i < c.rows(); ++i) {
+    for (std::size_t j = 0; j < c.cols(); ++j) {
+      EXPECT_NEAR(c.at(i, j), base.at(i, j) + prod.at(i, j), 1e-11);
+    }
+  }
+  // Bitwise, accumulating NT is accumulating NN on Bᵀ.
+  Matrix nn = base;
+  gemm_nn(a, transposed(b), nn, /*accumulate=*/true);
+  expect_bit_identical(c, nn, "nt accumulate");
+}
+
+TEST(Gemm, NtIsBitIdenticalToNnOnTransposedB) {
+  // NT transposes B and runs the NN kernel, so the two share one
+  // reduction order: gemm_nt(a, b) == gemm_nn(a, bᵀ) bit for bit, serial
+  // and pooled.
+  exec::ThreadPool pool(3);
+  for (const auto& s : kShapes) {
+    const Matrix a = random_matrix(s.m, s.k, 5000 + s.m);
+    const Matrix b = random_matrix(s.n, s.k, 6000 + s.n);
+    Matrix nt, nn;
+    gemm_nt(a, b, nt);
+    gemm_nn(a, transposed(b), nn);
+    expect_bit_identical(nt, nn, "nt vs nn");
+    gemm_nt(a, b, nt, false, &pool);
+    expect_bit_identical(nt, nn, "pooled nt vs nn");
   }
 }
 
@@ -229,9 +284,6 @@ TEST(Gemm, RowResultsAreIndependentOfRowCount) {
   // from the 4-row micro-kernel, so the same row produced different last
   // bits at m=1 than inside a larger batch.  Shapes cover the serving head
   // layers, the kernel stage, and tile-tail row counts.
-  struct Shape {
-    std::size_t m, k, n;
-  };
   for (const Shape s : {Shape{4, 7, 32}, Shape{4, 32, 2}, Shape{28, 37, 64},
                         Shape{7, 37, 64}, Shape{5, 7, 32}, Shape{3, 13, 9}}) {
     const Matrix a = random_matrix(s.m, s.k, 500 + s.m);

@@ -2,7 +2,9 @@
 // difference gradient check), ReLU, softmax cross-entropy, and Adam.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "qif/ml/nn.hpp"
 
@@ -91,6 +93,32 @@ TEST(Dense, SnapshotRestoreRoundTrip) {
   }
 }
 
+TEST(Dense, ParamOnlyBackwardMatchesFullBackwardBitForBit) {
+  // An input layer's backward skips dX; its dW/db must be exactly the
+  // full backward's.  The gradients are private, so compare the weights
+  // after one Adam step from identical layers, bit for bit, with two
+  // accumulated backward calls per step like the shared kernel makes.
+  sim::Rng init_a(6), init_b(6), data(7);
+  Dense full(37, 64, init_a);
+  Dense params_only(37, 64, init_b);
+  Matrix x(448, 37), dy(448, 64);
+  for (auto& v : x.data()) v = data.normal(0, 1);
+  for (auto& v : dy.data()) v = data.normal(0, 1);
+  for (int call = 0; call < 2; ++call) {
+    (void)full.forward(x);
+    (void)params_only.forward(x);
+    (void)full.backward(dy);
+    params_only.backward_params(dy);
+  }
+  full.step(AdamParams{}, 1);
+  params_only.step(AdamParams{}, 1);
+  std::vector<double> a(full.param_count()), b(params_only.param_count());
+  full.snapshot_to(a.data());
+  params_only.snapshot_to(b.data());
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) ASSERT_EQ(a[i], b[i]) << "param " << i;
+}
+
 TEST(ReLU, ForwardClampsNegatives) {
   ReLU relu;
   Matrix x(1, 4);
@@ -113,6 +141,30 @@ TEST(ReLU, BackwardMasksByInputSign) {
   EXPECT_DOUBLE_EQ(dx.at(0, 0), 0.0);
   EXPECT_DOUBLE_EQ(dx.at(0, 1), 5.0);
   EXPECT_DOUBLE_EQ(dx.at(0, 2), 0.0);
+}
+
+TEST(ReLU, BackwardPassesGradientExactlyWherePositive) {
+  // Random signs over an odd length (the vector loop's scalar tail too):
+  // dx is dy bit for bit where y > 0 and +0.0 elsewhere, NaN gradients
+  // included, since the select reads dy unconditionally.
+  ReLU relu;
+  sim::Rng rng(8);
+  Matrix x(5, 13), dy(5, 13);
+  for (auto& v : x.data()) v = rng.normal(0, 1);
+  for (auto& v : dy.data()) v = rng.normal(0, 1);
+  x.data()[3] = 0.0;
+  dy.data()[4] = std::nan("");
+  x.data()[4] = -1.0;
+  (void)relu.forward(x);
+  const Matrix& dx = relu.backward(dy);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if (x.data()[i] > 0.0) {
+      EXPECT_EQ(dx.data()[i], dy.data()[i]) << i;
+    } else {
+      EXPECT_EQ(dx.data()[i], 0.0) << i;
+      EXPECT_FALSE(std::signbit(dx.data()[i])) << i;
+    }
+  }
 }
 
 TEST(SoftmaxXent, SoftmaxRowsSumToOne) {
@@ -157,6 +209,44 @@ TEST(SoftmaxXent, ClassWeightsScaleContributions) {
   EXPECT_NEAR(loss_weighted, loss_plain, 1e-12);
   // But the class-1 row's gradient carries 3x the weight (before norm).
   EXPECT_NEAR(std::abs(g.at(1, 1)) / std::abs(g2.at(1, 1)), 3.0 / 2.0, 1e-9);
+}
+
+TEST(SoftmaxXent, LossIntoMatchesTheSoftmaxThenScaleReference) {
+  // The buffer-writing loss keeps the original arithmetic order: softmax
+  // rows, loss from the unscaled probability, scale by the class weight,
+  // subtract it at the label, then normalize.  Bit for bit, and the
+  // buffer is reused at the same shape.
+  sim::Rng rng(9);
+  Matrix logits(64, 3);
+  for (auto& v : logits.data()) v = rng.normal(0, 2);
+  std::vector<int> y(64);
+  for (std::size_t i = 0; i < y.size(); ++i) y[i] = static_cast<int>(i % 3);
+  const std::vector<double> w = {0.7, 1.9, 1.1};
+
+  const Matrix p = SoftmaxXent::softmax(logits);
+  Matrix want = p;
+  double want_loss = 0.0, weight_sum = 0.0;
+  for (std::size_t i = 0; i < y.size(); ++i) {
+    const auto c = static_cast<std::size_t>(y[i]);
+    want_loss += -w[c] * std::log(std::max(p.at(i, c), 1e-12));
+    weight_sum += w[c];
+    for (std::size_t j = 0; j < 3; ++j) want.at(i, j) *= w[c];
+    want.at(i, c) -= w[c];
+  }
+  for (double& v : want.data()) v /= weight_sum;
+  want_loss /= weight_sum;
+
+  Matrix d;
+  EXPECT_EQ(SoftmaxXent::loss_and_grad_into(logits, y, w, d), want_loss);
+  const double* buf = d.data().data();
+  EXPECT_EQ(SoftmaxXent::loss_and_grad_into(logits, y, w, d), want_loss);
+  EXPECT_EQ(d.data().data(), buf);
+  ASSERT_EQ(d.rows(), want.rows());
+  ASSERT_EQ(d.cols(), want.cols());
+  for (std::size_t i = 0; i < d.size(); ++i) EXPECT_EQ(d.data()[i], want.data()[i]) << i;
+  const auto [loss, pair_d] = SoftmaxXent::loss_and_grad(logits, y, w);
+  EXPECT_EQ(loss, want_loss);
+  EXPECT_EQ(pair_d.data(), want.data());
 }
 
 TEST(SoftmaxXent, PerfectPredictionNearZeroLoss) {

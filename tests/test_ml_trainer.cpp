@@ -383,6 +383,47 @@ TEST(Trainer, EvaluateRejectsWidthMismatchNamingBothWidths) {
             static_cast<std::int64_t>(narrow.size()));
 }
 
+TEST(Trainer, RejectsLabelsOutsideTheClassCountNamingTheRow) {
+  // Regression: a 3-bin dataset trained as binary indexed the class
+  // weights and the softmax row past their ends (heap corruption), and
+  // evaluating a binary model on it wrote past the confusion matrix.
+  auto ds = synthetic_dataset(40, 12);
+  monitor::Dataset bad(ds.n_servers(), ds.dim());
+  for (std::size_t i = 0; i < ds.size(); ++i) {
+    const auto f = ds.row_vector(i);
+    const int label = i == 9 ? 2 : i == 20 ? -1 : ds.label(i);
+    std::copy(f.begin(), f.end(), bad.append_row(static_cast<std::int64_t>(i), label, 1.0));
+  }
+  KernelNetConfig nc;
+  nc.per_server_dim = 3;
+  nc.n_servers = 2;
+  nc.n_classes = 2;
+  auto expect_message = [](const auto& call, const std::string& want) {
+    try {
+      call();
+      FAIL() << "out-of-range label must throw";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos) << e.what();
+    }
+  };
+  KernelNet net(nc);
+  Standardizer stdz;
+  TrainConfig tc;
+  tc.max_epochs = 1;
+  const Trainer trainer(tc);
+  expect_message([&] { (void)trainer.train(net, stdz, bad); },
+                 "row 9 has label 2, the model has 2 classes");
+  (void)trainer.train(net, stdz, ds);
+  expect_message([&] { (void)Trainer::evaluate(net, stdz, bad); },
+                 "row 9 has label 2, the model has 2 classes");
+  // The first offender is named, whichever side of the range it is on.
+  nc.n_classes = 3;
+  KernelNet net3(nc);
+  Standardizer stdz3;
+  expect_message([&] { (void)trainer.train(net3, stdz3, bad); },
+                 "row 20 has label -1, the model has 3 classes");
+}
+
 TEST(ConfusionMatrix, HandComputedMetrics) {
   ConfusionMatrix cm(2);
   // 50 TN, 10 FP, 5 FN, 35 TP.
