@@ -13,14 +13,17 @@
 //   mmap:      map_dataset_qds over a real file — validate + borrow in
 //              place, no payload copy
 //   qlz:       the compressed .qds path (save/load + on-disk bytes)
-// and prints one JSON object to stdout; scripts/bench_data.sh wraps this
-// into BENCH_data.json.  The headline number is load_speedup_qds_vs_csv:
-// the binary reader is O(read) where CSV re-parses every cell.
+// and prints one JSON object to stdout.  It is run by hand (the repo's
+// benchmark is benchmark/run.sh).  The headline number is
+// load_speedup_qds_vs_csv: the binary reader is O(read) where CSV
+// re-parses every cell.
 //
 // --streaming-rows N adds a "streaming" leg: a synthetic N-row dataset is
 // written shard by shard (never fully resident), then trained through the
 // chunked ShardedDataset path under --streaming-budget-mib; peak RSS
-// (ru_maxrss) is reported so the fixed-footprint claim is checkable.
+// (ru_maxrss) is reported so the fixed-footprint claim is checkable.  Run
+// it without --richness: peak RSS is a whole-process high-water mark, so
+// the streaming leg must not inherit the campaign legs' pages.
 #include <sys/resource.h>
 
 #include <chrono>

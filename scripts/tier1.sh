@@ -1,7 +1,11 @@
 #!/usr/bin/env bash
-# Tier-1 gate: full build + test suite, then the exec/campaign tests again
-# under ThreadSanitizer to catch data races in the qif::exec thread pool,
-# the parallel campaign runner, and the thread-parallel GEMM path, and an
+# Tier-1 gate: full build + test suite (which holds the end-to-end gates:
+# lane fingerprint identity in cli_lanes, batched == sync serving for both
+# model architectures in test_serve_service and cli_roundtrip, and the
+# mitigation-on-beats-off study in test_campaign_mitigate), then the
+# exec/campaign tests again under ThreadSanitizer to catch data races in
+# the qif::exec thread pool, the parallel campaign runner, and the
+# thread-parallel GEMM path, and an
 # AddressSanitizer leg over the .qds corruption-fuzz and reader tests so
 # hostile bytes can never turn into a silent out-of-bounds read (the same
 # leg fuzzes the .qifm model parser and the trainer's width checks, runs
@@ -147,19 +151,5 @@ cmake --build build-ubsan -j --target test_trace test_export test_replay test_mo
 ./build-ubsan/tests/test_ml_nn
 ./build-ubsan/tests/test_ml_kernelnet
 ./build-ubsan/tests/test_ml_attention
-
-echo "=== tier-1: benchmark smoke ==="
-# Includes the lane smoke: `qif run --lanes 4` must print the same trace
-# fingerprint as `--lanes 1` (the lane engine's bit-identity contract,
-# asserted end to end through the CLI).
-./scripts/bench_sim.sh --smoke
-# Serving smoke: `qif serve verify` replays every batched reply against a
-# single-row sync prediction and must report zero mismatches for both
-# model architectures (the serving bit-identity contract, end to end).
-./scripts/bench_serve.sh --smoke
-# Mitigation smoke: the on-vs-off study on a contended campaign must show
-# mitigation-on beating off on both mean degradation and victim p99 (the
-# mitigation-wins gate, end to end through the CLI).
-./scripts/bench_ctrl.sh --smoke
 
 echo "tier-1 OK"

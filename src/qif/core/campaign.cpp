@@ -2,7 +2,6 @@
 
 #include <exception>
 #include <map>
-#include <stdexcept>
 #include <utility>
 
 #include "qif/trace/matcher.hpp"
@@ -193,33 +192,6 @@ CampaignResult run_campaign(const CampaignConfig& config) {
     cases.push_back(run_campaign_case(config, cs, baselines.at(cs.seed)));
   }
   return stitch_case_results(std::move(cases));
-}
-
-MitigationStudy run_mitigation_study(const CampaignConfig& config) {
-  if (config.mitigation.empty()) {
-    throw std::invalid_argument(
-        "run_mitigation_study: config.mitigation is off; nothing to compare");
-  }
-  // Baselines depend on neither faults nor mitigation; run each seed's once
-  // and share it between the twins.
-  std::map<std::uint64_t, CampaignBaseline> baselines;
-  for (const std::uint64_t seed : campaign_baseline_seeds(config)) {
-    baselines.emplace(seed, run_campaign_baseline(config, seed));
-  }
-  CampaignConfig off_config = config;
-  off_config.mitigation = ctrl::MitigationConfig{};
-  const auto run_side = [&baselines](const CampaignConfig& cc) {
-    std::vector<CaseResult> cases;
-    cases.reserve(cc.cases.size());
-    for (const CaseSpec& cs : cc.cases) {
-      cases.push_back(run_campaign_case(cc, cs, baselines.at(cs.seed)));
-    }
-    return stitch_case_results(std::move(cases));
-  };
-  MitigationStudy study;
-  study.off = run_side(off_config);
-  study.on = run_side(config);
-  return study;
 }
 
 monitor::Dataset Campaign::run() {

@@ -93,6 +93,44 @@ struct CampaignResult {
   std::vector<CaseOutcome> outcomes;
 };
 
+/// One side's aggregate over every campaign outcome in a mitigation study
+/// (two dataset passes over the same seeds, mitigation off then on, fed
+/// through DatasetOptions::on_result).  Failed cases are skipped.
+struct MitigationAggregate {
+  double deg_sum = 0.0;  ///< sampled-window-weighted Level_degrade
+  long long deg_windows = 0;
+  double p99_sum = 0.0;  ///< per-case victim p99 sum
+  long long cases = 0;
+  long long throttle_waits = 0;
+  double throttle_delay_s = 0.0;
+
+  void add(const CampaignResult& result) {
+    for (const CaseOutcome& o : result.outcomes) {
+      if (!o.ok()) continue;
+      deg_sum += o.mean_degradation * static_cast<double>(o.sampled_windows);
+      deg_windows += static_cast<long long>(o.sampled_windows);
+      p99_sum += o.victim_p99_ms;
+      ++cases;
+      throttle_waits += o.throttle_waits;
+      throttle_delay_s += o.throttle_delay_s;
+    }
+  }
+  void merge(const MitigationAggregate& other) {
+    deg_sum += other.deg_sum;
+    deg_windows += other.deg_windows;
+    p99_sum += other.p99_sum;
+    cases += other.cases;
+    throttle_waits += other.throttle_waits;
+    throttle_delay_s += other.throttle_delay_s;
+  }
+  [[nodiscard]] double mean_deg() const {
+    return deg_windows > 0 ? deg_sum / static_cast<double>(deg_windows) : 1.0;
+  }
+  [[nodiscard]] double mean_p99() const {
+    return cases > 0 ? p99_sum / static_cast<double>(cases) : 0.0;
+  }
+};
+
 /// A baseline run's detached trace, or the error that prevented it.
 struct CampaignBaseline {
   trace::TraceLog trace;
@@ -142,18 +180,6 @@ struct CampaignBaseline {
 /// Sequential driver: baselines first (each seed once), then every case in
 /// declaration order.
 [[nodiscard]] CampaignResult run_campaign(const CampaignConfig& config);
-
-/// On-vs-off mitigation twins over the same seeds.
-struct MitigationStudy {
-  CampaignResult off;  ///< config with the policy cleared
-  CampaignResult on;   ///< config as given (mitigation armed on case runs)
-};
-
-/// Runs the campaign twice — once with mitigation stripped, once with
-/// `config.mitigation` armed — sharing each seed's baseline, so the two
-/// sides differ in nothing but the controllers.  Throws std::invalid_argument
-/// when config.mitigation is empty (there would be no "on" side).
-[[nodiscard]] MitigationStudy run_mitigation_study(const CampaignConfig& config);
 
 class Campaign {
  public:

@@ -45,7 +45,15 @@ foreach(lanes 2 3)
   endif()
 endforeach()
 
-# Same contract on a custom topology (8 clients x 4 OSS x 2 OSTs).
+# Same contract on a custom topology (8 clients x 4 OSS x 2 OSTs), for a
+# data-bound and a metadata-bound target.
+run_ok(w1 ${QIF_CLI} run ior-easy-write --scale 0.25 --topology 8x4x2 --lanes 1)
+run_ok(w4 ${QIF_CLI} run ior-easy-write --scale 0.25 --topology 8x4x2 --lanes 4)
+extract_fp(wfp1 "${w1}")
+extract_fp(wfp4 "${w4}")
+if(NOT wfp4 STREQUAL wfp1)
+  message(FATAL_ERROR "ior-easy-write 8x4x2: --lanes 4 fp ${wfp4} != --lanes 1 fp ${wfp1}")
+endif()
 run_ok(t1 ${QIF_CLI} run mdt-easy-write --scale 0.25 --topology 8x4x2 --lanes 1)
 run_ok(t4 ${QIF_CLI} run mdt-easy-write --scale 0.25 --topology 8x4x2 --lanes 4)
 extract_fp(tfp1 "${t1}")

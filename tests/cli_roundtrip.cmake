@@ -1,7 +1,8 @@
 # Drives the qif CLI through a full campaign -> train -> eval -> publish ->
 # serve round trip, then checks that bad output paths, partial writes,
 # malformed numeric options and mismatched models fail with exit 1 and an
-# error naming the culprit.
+# error naming the culprit, and that options a verb does not take fail
+# with exit 2 and the nearest accepted name.
 file(MAKE_DIRECTORY ${WORK_DIR})
 function(run)
   execute_process(COMMAND ${ARGV} WORKING_DIRECTORY ${WORK_DIR}
@@ -15,6 +16,16 @@ function(run_fail_matching pattern)
                   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
   if(NOT rc EQUAL 1)
     message(FATAL_ERROR "expected exit 1, got ${rc}: ${ARGN}\n${out}\n${err}")
+  endif()
+  if(NOT "${err}" MATCHES "${pattern}")
+    message(FATAL_ERROR "error lacks '${pattern}': ${ARGN}\n${err}")
+  endif()
+endfunction()
+function(run_usage_error pattern)
+  execute_process(COMMAND ${ARGN} WORKING_DIRECTORY ${WORK_DIR}
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "expected exit 2, got ${rc}: ${ARGN}\n${out}\n${err}")
   endif()
   if(NOT "${err}" MATCHES "${pattern}")
     message(FATAL_ERROR "error lacks '${pattern}': ${ARGN}\n${err}")
@@ -42,6 +53,10 @@ run(${QIF_CLI} eval --data shards/amrex.qdm --model model.qifm)
 # The trained file is what the registry deploys.
 run(${QIF_CLI} serve publish --model model.qifm --model-dir registry)
 run(${QIF_CLI} serve verify --model-dir registry --requests 200)
+# Batched replies equal the sync path for both synthetic architectures
+# with two producers and several batch boundaries.
+run(${QIF_CLI} serve verify --arch kernel --requests 400 --producers 2 --max-batch 8)
+run(${QIF_CLI} serve verify --arch attention --requests 400 --producers 2 --max-batch 8)
 run(${QIF_CLI} dump-trace openpmd --scale 0.5 --out trace.dxt)
 if(NOT EXISTS ${WORK_DIR}/registry/v1.qifm OR NOT EXISTS ${WORK_DIR}/trace.dxt)
   message(FATAL_ERROR "CLI round trip did not produce its artifacts")
@@ -79,3 +94,29 @@ run_fail_matching("train: row [0-9]+ has label 2, the model has 2 classes"
   ${QIF_CLI} train --data multi.csv --out bad.qifm --classes 2 --epochs 1)
 run_fail_matching("evaluate: row [0-9]+ has label 2, the model has 2 classes"
   ${QIF_CLI} eval --data multi.csv --model model.qifm)
+run_fail_matching("bad --bins '3'" ${QIF_CLI} campaign amrex --bins 3 --out bad.csv)
+
+# Every verb refuses an option it does not take, naming it and the
+# nearest option it does take, before doing any work.
+run_usage_error("--mitigte.*did you mean --mitigate" ${QIF_CLI} run ior-easy-write --mitigte token)
+run_usage_error("--lansx.*did you mean --lanes" ${QIF_CLI} run ior-easy-write --lansx 4)
+run_usage_error("--richnes.*did you mean --richness"
+  ${QIF_CLI} campaign amrex --richnes 0.5 --out bad.csv)
+run_usage_error("--epoch.*did you mean --epochs"
+  ${QIF_CLI} train --data data.csv --out bad.qifm --epoch 1)
+run_usage_error("--modle.*did you mean --model" ${QIF_CLI} eval --data data.csv --modle model.qifm)
+run_usage_error("--row.*did you mean --rows" ${QIF_CLI} dataset head data.csv --row 2)
+run_usage_error("--scael.*did you mean --scale"
+  ${QIF_CLI} dump-trace openpmd --scael 0.5 --out bad.dxt)
+run_usage_error("--rank.*did you mean --ranks" ${QIF_CLI} workloads export ior-easy-write --rank 2)
+run_usage_error("--producer.*did you mean --producers" ${QIF_CLI} serve bench --producer 2)
+run_usage_error("--request.*did you mean --requests" ${QIF_CLI} serve verify --request 10)
+run_usage_error("--model_dir.*did you mean --model-dir"
+  ${QIF_CLI} serve publish --model model.qifm --model_dir registry)
+run_usage_error("--modeldir.*did you mean --model-dir" ${QIF_CLI} serve versions --modeldir registry)
+# A verb's options are its own: --sync belongs to `serve bench` only.
+run_usage_error("--sync" ${QIF_CLI} serve verify --sync)
+# A value option at the end of the line, or followed by another option,
+# has no value.
+run_usage_error("--faults needs a value" ${QIF_CLI} run ior-easy-write --faults)
+run_usage_error("--out needs a value" ${QIF_CLI} dump-trace openpmd --out --scale 0.5)

@@ -7,17 +7,17 @@
 //  2. A mitigated campaign is deterministic: byte-identical CSV
 //     sequentially and on 4 workers (the controllers' state never leaks
 //     across the worker partition).
-//  3. run_mitigation_study shares baselines between the twins and the
-//     mitigated side measures less degradation and a lower victim p99 than
-//     its unmitigated twin.
+//  3. The mitigation-wins gate: the CLI's on-vs-off study (two dataset
+//     passes over the same seeds, aggregated per side) measures less
+//     degradation and a lower victim p99 with mitigation on than off.
 #include <gtest/gtest.h>
 
 #include <fstream>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 
 #include "qif/core/campaign.hpp"
+#include "qif/core/datasets.hpp"
 #include "qif/exec/parallel_runner.hpp"
 #include "qif/monitor/export.hpp"
 
@@ -85,31 +85,27 @@ TEST(CampaignMitigate, MitigatedCampaignIsByteIdenticalAcrossJobCounts) {
   EXPECT_GT(waits, 0);
 }
 
-TEST(CampaignMitigate, StudyRequiresAPolicy) {
-  EXPECT_THROW((void)run_mitigation_study(golden_config()), std::invalid_argument);
-}
-
 TEST(CampaignMitigate, StudyShowsOnBeatsOffOnDegradationAndVictimTail) {
-  CampaignConfig cc = golden_config();
-  // The heavier contended case is where mitigation earns its keep; the
-  // quiet case would just dilute the comparison.
-  cc.cases = {{"ior-easy-read", 6, 1.0, 9}};
-  cc.mitigation = ctrl::parse_mitigation("token");
-  const MitigationStudy study = run_mitigation_study(cc);
+  // `qif campaign custom --workload ior-easy-write --richness 0.25 --seed 7
+  // --mitigate token:rate=64`: an off pass, then an on pass over the same
+  // seeds, each side aggregated through DatasetOptions::on_result.
+  DatasetOptions opts;
+  opts.richness = 0.25;
+  opts.seed = 7;
+  MitigationAggregate off;
+  MitigationAggregate on;
+  opts.on_result = [&off](const std::string&, const CampaignResult& r) { off.add(r); };
+  (void)build_app_dataset("ior-easy-write", opts);
+  opts.mitigation = ctrl::parse_mitigation("token:rate=64");
+  opts.on_result = [&on](const std::string&, const CampaignResult& r) { on.add(r); };
+  (void)build_app_dataset("ior-easy-write", opts);
 
-  ASSERT_EQ(study.off.outcomes.size(), 1u);
-  ASSERT_EQ(study.on.outcomes.size(), 1u);
-  const CaseOutcome& off = study.off.outcomes[0];
-  const CaseOutcome& on = study.on.outcomes[0];
-  ASSERT_TRUE(off.ok()) << off.error;
-  ASSERT_TRUE(on.ok()) << on.error;
-
-  // The twins ran the same case over the same shared baseline.
-  EXPECT_EQ(off.spec.seed, on.spec.seed);
+  ASSERT_GT(off.cases, 0);
+  ASSERT_EQ(on.cases, off.cases);
   EXPECT_EQ(off.throttle_waits, 0);
   EXPECT_GT(on.throttle_waits, 0);
-  EXPECT_LT(on.mean_degradation, off.mean_degradation);
-  EXPECT_LT(on.victim_p99_ms, off.victim_p99_ms);
+  EXPECT_LT(on.mean_deg(), off.mean_deg());
+  EXPECT_LT(on.mean_p99(), off.mean_p99());
 }
 
 }  // namespace

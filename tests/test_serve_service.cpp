@@ -1,5 +1,6 @@
-// InferenceService: batched-vs-sync bit identity, batch-composition
-// determinism, adaptive batch policy, hot-swap atomicity under load.
+// InferenceService: batched-vs-sync bit identity (kernel and attention
+// models), batch-composition determinism, adaptive batch policy, hot-swap
+// atomicity under load.
 //
 // The central contract: a request's reply (class, probabilities,
 // per-server scores) is byte-identical no matter which batch it rode in —
@@ -25,17 +26,34 @@ constexpr int kD = 5;        // per-server feature width
 constexpr int kS = 3;        // servers
 constexpr std::size_t kFeat = kD * kS;
 
-std::shared_ptr<const ServingModel> make_model(std::uint64_t version, std::uint64_t seed) {
+constexpr ServingModel::Kind kBothKinds[] = {ServingModel::Kind::kKernel,
+                                             ServingModel::Kind::kAttention};
+
+std::shared_ptr<const ServingModel> make_model(
+    std::uint64_t version, std::uint64_t seed,
+    ServingModel::Kind kind = ServingModel::Kind::kKernel) {
   auto m = std::make_shared<ServingModel>();
-  m->kind = ServingModel::Kind::kKernel;
-  ml::KernelNetConfig cfg;
-  cfg.per_server_dim = kD;
-  cfg.n_servers = kS;
-  cfg.n_classes = 2;
-  cfg.kernel_hidden = {8, 4};
-  cfg.head_hidden = {6};
-  cfg.seed = seed;
-  m->kernel = ml::KernelNet(cfg);
+  m->kind = kind;
+  if (kind == ServingModel::Kind::kKernel) {
+    ml::KernelNetConfig cfg;
+    cfg.per_server_dim = kD;
+    cfg.n_servers = kS;
+    cfg.n_classes = 2;
+    cfg.kernel_hidden = {8, 4};
+    cfg.head_hidden = {6};
+    cfg.seed = seed;
+    m->kernel = ml::KernelNet(cfg);
+  } else {
+    ml::AttentionNetConfig cfg;
+    cfg.per_server_dim = kD;
+    cfg.n_servers = kS;
+    cfg.n_classes = 2;
+    cfg.embed_dim = 8;
+    cfg.attention_dim = 4;
+    cfg.head_hidden = {6};
+    cfg.seed = seed;
+    m->attention = ml::AttentionNet(cfg);
+  }
   m->stdz = ml::Standardizer::from_moments(std::vector<double>(kD, 0.0),
                                            std::vector<double>(kD, 1.0));
   m->n_classes = 2;
@@ -94,26 +112,67 @@ TEST(InferenceService, RejectsNullModelAndZeroBatch) {
 }
 
 TEST(InferenceService, BatchedRepliesAreBitIdenticalToSync) {
-  const auto model = make_model(1, 11);
-  const auto features = make_features(13, 21);
-  ServiceConfig cfg;
-  cfg.max_batch = 4;  // 13 requests -> batches of 4, 4, 4, 1
-  InferenceService service(model, cfg);
+  for (const ServingModel::Kind kind : kBothKinds) {
+    SCOPED_TRACE(kind == ServingModel::Kind::kKernel ? "kernel" : "attention");
+    const auto model = make_model(1, 11, kind);
+    const auto features = make_features(13, 21);
+    ServiceConfig cfg;
+    cfg.max_batch = 4;  // 13 requests -> batches of 4, 4, 4, 1
+    InferenceService service(model, cfg);
 
-  std::deque<Request> reqs(features.size());
-  for (std::size_t i = 0; i < features.size(); ++i) {
-    reqs[i].features = features[i].data();
-    reqs[i].n_features = kFeat;
-    ASSERT_TRUE(service.try_submit(&reqs[i]));
+    std::deque<Request> reqs(features.size());
+    for (std::size_t i = 0; i < features.size(); ++i) {
+      reqs[i].features = features[i].data();
+      reqs[i].n_features = kFeat;
+      ASSERT_TRUE(service.try_submit(&reqs[i]));
+    }
+    std::size_t served = 0;
+    while (std::size_t n = service.step()) served += n;
+    ASSERT_EQ(served, features.size());
+
+    for (std::size_t i = 0; i < features.size(); ++i) {
+      ASSERT_TRUE(reqs[i].ready());
+      EXPECT_EQ(reqs[i].model_version, 1u);
+      expect_same_reply(snapshot(reqs[i]), predict_sync(*model, features[i]));
+    }
   }
-  std::size_t served = 0;
-  while (std::size_t n = service.step()) served += n;
-  ASSERT_EQ(served, features.size());
+}
 
-  for (std::size_t i = 0; i < features.size(); ++i) {
-    ASSERT_TRUE(reqs[i].ready());
-    EXPECT_EQ(reqs[i].model_version, 1u);
-    expect_same_reply(snapshot(reqs[i]), predict_sync(*model, features[i]));
+TEST(InferenceService, MultiProducerBatcherRepliesAreBitIdenticalToSync) {
+  // `qif serve verify --requests 400 --producers 2 --max-batch 8` for both
+  // architectures: two producer threads feed the batcher thread, so batch
+  // composition depends on the interleaving, and every reply must still
+  // equal the one-row sync prediction.
+  constexpr std::size_t kProducers = 2;
+  constexpr std::size_t kPerProducer = 200;
+  for (const ServingModel::Kind kind : kBothKinds) {
+    SCOPED_TRACE(kind == ServingModel::Kind::kKernel ? "kernel" : "attention");
+    const auto model = make_model(1, 29, kind);
+    const auto features = make_features(kProducers * kPerProducer, 31);
+    ServiceConfig cfg;
+    cfg.max_batch = 8;
+    cfg.max_delay_us = 100;
+    InferenceService service(model, cfg);
+    service.start();
+    std::deque<Request> reqs(features.size());
+    std::vector<std::thread> producers;
+    for (std::size_t p = 0; p < kProducers; ++p) {
+      producers.emplace_back([&, p] {
+        for (std::size_t i = 0; i < kPerProducer; ++i) {
+          const std::size_t idx = p * kPerProducer + i;
+          reqs[idx].features = features[idx].data();
+          reqs[idx].n_features = kFeat;
+          service.submit(&reqs[idx]);
+        }
+      });
+    }
+    for (auto& t : producers) t.join();
+    for (auto& r : reqs) r.wait();
+    service.stop();
+    EXPECT_EQ(service.stats().requests.load(), features.size());
+    for (std::size_t i = 0; i < features.size(); ++i) {
+      expect_same_reply(snapshot(reqs[i]), predict_sync(*model, features[i]));
+    }
   }
 }
 

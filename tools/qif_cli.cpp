@@ -77,9 +77,9 @@
 //
 //   qif serve bench [--model F | --model-dir D] [--producers N] [--requests R]
 //                   [--max-batch B] [--max-delay-us U] [--ring CAP]
-//                   [--inflight W] [--sync] [--swap-every-ms M] [--json]
+//                   [--inflight W] [--sync] [--swap-every-ms M]
 //   qif serve verify [--model F | --model-dir D] [--requests R] [--producers N]
-//                    [--max-batch B] [--json]
+//                    [--max-batch B]
 //   qif serve publish --model F --model-dir D
 //   qif serve versions --model-dir D
 //       Online-inference service front end.  `bench` floods the service
@@ -93,6 +93,9 @@
 //       registry as v<N+1>.qifm.  Without a model a synthetic bundle is
 //       generated (--arch kernel|attention, --classes C, --seed K) so
 //       smoke runs need no training step.
+//
+// Every verb accepts only its own options (verb_options below); an unknown
+// option, or a value option with no value, exits 2 naming it.
 #include <algorithm>
 #include <charconv>
 #include <chrono>
@@ -107,6 +110,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -160,21 +164,90 @@ struct Args {
   }
 };
 
-/// Options that take no value (presence == true).
-bool is_flag_option(const std::string& name) {
-  return name == "compress" || name == "json" || name == "sync";
+/// One option a verb accepts; a flag takes no value (presence == true).
+struct OptionSpec {
+  std::string_view name;
+  bool flag = false;
+};
+
+/// The options each verb accepts, keyed by the verb as typed; the `serve`
+/// sub-commands are verbs of their own.
+const std::map<std::string, std::vector<OptionSpec>>& verb_options() {
+  static const std::map<std::string, std::vector<OptionSpec>> table = {
+      {"workloads", {{"ranks"}, {"seed"}, {"scale"}, {"out"}}},
+      {"run",
+       {{"noise"}, {"instances"}, {"scale"}, {"seed"}, {"faults"}, {"lanes"},
+        {"topology"}, {"mitigate"}, {"replay-timing"}}},
+      {"campaign",
+       {{"richness"}, {"workload"}, {"bins"}, {"seed"}, {"jobs"}, {"faults"},
+        {"mitigate"}, {"compress", true}, {"stream-out"}, {"out"}, {"replay-timing"}}},
+      {"train", {{"data"}, {"out"}, {"classes"}, {"epochs"}, {"jobs"}, {"memory-budget"}}},
+      {"eval", {{"data"}, {"model"}}},
+      {"dataset", {{"rows"}, {"rows-per-shard"}, {"shards"}, {"compress", true}}},
+      {"dump-trace",
+       {{"scale"}, {"seed"}, {"lanes"}, {"topology"}, {"out"}, {"replay-timing"}}},
+      {"serve bench",
+       {{"model"}, {"model-dir"}, {"arch"}, {"classes"}, {"seed"}, {"producers"},
+        {"requests"}, {"max-batch"}, {"max-delay-us"}, {"ring"}, {"inflight"},
+        {"sync", true}, {"swap-every-ms"}}},
+      {"serve verify",
+       {{"model"}, {"model-dir"}, {"arch"}, {"classes"}, {"seed"}, {"producers"},
+        {"requests"}, {"max-batch"}, {"max-delay-us"}}},
+      {"serve publish", {{"model"}, {"model-dir"}}},
+      {"serve versions", {{"model-dir"}}},
+  };
+  return table;
 }
 
-Args parse(int argc, char** argv) {
+/// A command line that names an option its verb does not take, or leaves
+/// a value option without its value; main() exits 2 on it.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// Levenshtein distance, to suggest the accepted option nearest a typo.
+std::size_t edit_distance(std::string_view a, std::string_view b) {
+  std::vector<std::size_t> row(b.size() + 1);
+  std::iota(row.begin(), row.end(), std::size_t{0});
+  for (std::size_t i = 1; i <= a.size(); ++i) {
+    std::size_t diag = row[0];
+    row[0] = i;
+    for (std::size_t j = 1; j <= b.size(); ++j) {
+      const std::size_t up = row[j];
+      row[j] = std::min({up + 1, row[j - 1] + 1, diag + (a[i - 1] == b[j - 1] ? 0 : 1)});
+      diag = up;
+    }
+  }
+  return row[b.size()];
+}
+
+/// Splits argv[2..] into positionals and the options `verb` accepts.
+Args parse(const std::string& verb, const std::vector<OptionSpec>& accepted, int argc,
+           char** argv) {
   Args args;
   for (int i = 2; i < argc; ++i) {
     const std::string a = argv[i];
-    if (a.rfind("--", 0) == 0 && is_flag_option(a.substr(2))) {
-      args.options[a.substr(2)] = "1";
-    } else if (a.rfind("--", 0) == 0 && i + 1 < argc) {
-      args.options[a.substr(2)] = argv[++i];
-    } else {
+    if (a.rfind("--", 0) != 0) {
       args.positional.push_back(a);
+      continue;
+    }
+    const std::string name = a.substr(2);
+    const auto spec = std::find_if(accepted.begin(), accepted.end(),
+                                   [&](const OptionSpec& o) { return o.name == name; });
+    if (spec == accepted.end()) {
+      const auto nearest = std::min_element(
+          accepted.begin(), accepted.end(), [&](const OptionSpec& x, const OptionSpec& y) {
+            return edit_distance(name, x.name) < edit_distance(name, y.name);
+          });
+      throw UsageError("unknown option " + a + " for `qif " + verb + "` (did you mean --" +
+                       std::string(nearest->name) + "?)");
+    }
+    if (spec->flag) {
+      args.options[name] = "1";
+    } else if (i + 1 < argc && std::string_view(argv[i + 1]).rfind("--", 0) != 0) {
+      args.options[name] = argv[++i];
+    } else {
+      throw UsageError("option " + a + " needs a value");
     }
   }
   return args;
@@ -204,7 +277,7 @@ int usage() {
                " probe: init/min/max/step,tol;\n"
                "                         common: epoch seconds, scope=noise|all)\n"
                "  campaign <family> [--richness R] [--bins 2|2,5] [--seed K] [--jobs N]"
-               " [--faults SPEC] [--mitigate POLICY] [--json]\n"
+               " [--faults SPEC] [--mitigate POLICY]\n"
                "      [--compress] [--stream-out DIR] --out F.{csv,qds}\n"
                "      family `custom` labels any --workload W (trace:/ckpt:/qwp: too)\n"
                "      --mitigate P runs on-vs-off twins over the same seeds and prints"
@@ -223,9 +296,9 @@ int usage() {
                " [--requests R]\n"
                "      [--max-batch B] [--max-delay-us U] [--ring CAP] [--inflight W]"
                " [--sync]\n"
-               "      [--swap-every-ms M] [--json]\n"
+               "      [--swap-every-ms M]\n"
                "  serve verify [--model F | --model-dir D] [--requests R]"
-               " [--producers N] [--max-batch B] [--json]\n"
+               " [--producers N] [--max-batch B]\n"
                "  serve publish --model F --model-dir D\n"
                "  serve versions --model-dir D\n");
   return 2;
@@ -384,15 +457,25 @@ std::string with_replay_timing(std::string name, const Args& args) {
   return name + "@" + timing;
 }
 
-/// Applies the scenario-shaping options shared by `run` and `dump-trace`:
-/// `--topology CxSxT` replaces the testbed cluster shape, and `--lanes N`
-/// selects the parallel lane engine.  `--lanes 0` is rejected here — the
-/// library's lanes == 0 means "classic single engine", which on the CLI is
-/// spelled by omitting the flag, so an explicit 0 is a confused request
-/// for a lane run with no lanes.  Lane counts above the OSS count are
-/// rejected by the cluster layer (each data lane must own an OSS port);
-/// its message reaches the user through the main() error path.
-void apply_cluster_options(core::ScenarioConfig& cfg, const Args& args) {
+/// The target-only scenario `run` and `dump-trace` share: `target` on
+/// testbed nodes {0, 1} at two ranks each, monitors off.  `--topology
+/// CxSxT` replaces the testbed cluster shape, and `--lanes N` selects the
+/// parallel lane engine.  `--lanes 0` is rejected here — the library's
+/// lanes == 0 means "classic single engine", which on the CLI is spelled
+/// by omitting the flag, so an explicit 0 is a confused request for a lane
+/// run with no lanes.  Lane counts above the OSS count are rejected by the
+/// cluster layer (each data lane must own an OSS port); its message
+/// reaches the user through the main() error path.
+core::ScenarioConfig target_scenario(const std::string& target, const Args& args) {
+  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  core::ScenarioConfig cfg;
+  cfg.cluster = core::testbed_cluster_config(seed);
+  cfg.target.workload = target;
+  cfg.target.nodes = {0, 1};
+  cfg.target.procs_per_node = 2;
+  cfg.target.seed = seed;
+  cfg.target.scale = args.get_double("scale", 1.0);
+  cfg.monitors = false;
   const std::string topo = args.get("topology", "");
   if (!topo.empty()) {
     int clients = 0;
@@ -418,6 +501,7 @@ void apply_cluster_options(core::ScenarioConfig& cfg, const Args& args) {
     }
     cfg.lanes = lanes;
   }
+  return cfg;
 }
 
 /// Sums the fault-path counters a run left in its trace and prints them.
@@ -441,16 +525,7 @@ int cmd_run(const Args& args) {
     std::fprintf(stderr, "%s\n", workloads::workload_name_error(target).c_str());
     return 1;
   }
-  core::ScenarioConfig cfg;
-  cfg.cluster = core::testbed_cluster_config(
-      static_cast<std::uint64_t>(args.get_int("seed", 1)));
-  cfg.target.workload = target;
-  cfg.target.nodes = {0, 1};
-  cfg.target.procs_per_node = 2;
-  cfg.target.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  cfg.target.scale = args.get_double("scale", 1.0);
-  cfg.monitors = false;
-  apply_cluster_options(cfg, args);
+  core::ScenarioConfig cfg = target_scenario(target, args);
   const std::string faults_spec = args.get("faults", "");
   if (!faults_spec.empty()) cfg.faults = pfs::faults::parse_fault_plan(faults_spec);
   cfg.mitigation = ctrl::parse_mitigation(args.get("mitigate", ""));
@@ -520,42 +595,6 @@ int cmd_run(const Args& args) {
   return 0;
 }
 
-/// One side's aggregate over every campaign outcome in a mitigation study.
-struct MitigationAggregate {
-  double deg_sum = 0.0;  ///< sampled-window-weighted Level_degrade
-  long long deg_windows = 0;
-  double p99_sum = 0.0;  ///< per-case victim p99 sum
-  long long cases = 0;
-  long long throttle_waits = 0;
-  double throttle_delay_s = 0.0;
-
-  void add(const core::CampaignResult& result) {
-    for (const core::CaseOutcome& o : result.outcomes) {
-      if (!o.ok()) continue;
-      deg_sum += o.mean_degradation * static_cast<double>(o.sampled_windows);
-      deg_windows += static_cast<long long>(o.sampled_windows);
-      p99_sum += o.victim_p99_ms;
-      ++cases;
-      throttle_waits += o.throttle_waits;
-      throttle_delay_s += o.throttle_delay_s;
-    }
-  }
-  void merge(const MitigationAggregate& other) {
-    deg_sum += other.deg_sum;
-    deg_windows += other.deg_windows;
-    p99_sum += other.p99_sum;
-    cases += other.cases;
-    throttle_waits += other.throttle_waits;
-    throttle_delay_s += other.throttle_delay_s;
-  }
-  [[nodiscard]] double mean_deg() const {
-    return deg_windows > 0 ? deg_sum / static_cast<double>(deg_windows) : 1.0;
-  }
-  [[nodiscard]] double mean_p99() const {
-    return cases > 0 ? p99_sum / static_cast<double>(cases) : 0.0;
-  }
-};
-
 int cmd_campaign(const Args& args) {
   if (args.positional.empty() || args.options.count("out") == 0) return usage();
   const std::string family = args.positional[0];
@@ -563,7 +602,12 @@ int cmd_campaign(const Args& args) {
   opts.richness = args.get_double("richness", 1.0);
   opts.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
   opts.verbose = true;
-  if (args.get("bins", "2") == "2,5") opts.bin_thresholds = {2.0, 5.0};
+  const std::string bins = args.get("bins", "2");
+  if (bins == "2,5") {
+    opts.bin_thresholds = {2.0, 5.0};
+  } else if (bins != "2") {
+    throw std::runtime_error("bad --bins '" + bins + "': expected 2 or 2,5");
+  }
   const int jobs = args.get_int("jobs", 1);
   opts.runner = exec::campaign_runner(jobs);
   const std::string faults_spec = args.get("faults", "");
@@ -615,7 +659,7 @@ int cmd_campaign(const Args& args) {
   // the mitigated pass produces the dataset written to --out.
   const ctrl::MitigationConfig mitigation =
       ctrl::parse_mitigation(args.get("mitigate", ""));
-  std::map<std::string, std::pair<MitigationAggregate, MitigationAggregate>> by_target;
+  std::map<std::string, std::pair<core::MitigationAggregate, core::MitigationAggregate>> by_target;
   if (!mitigation.empty()) {
     core::DatasetOptions off_opts = opts;
     off_opts.runner = exec::campaign_runner(jobs);
@@ -663,8 +707,8 @@ int cmd_campaign(const Args& args) {
   if (!mitigation.empty()) {
     core::TextTable table;
     table.add_row({"campaign", "deg off", "deg on", "victim p99 off", "victim p99 on"});
-    MitigationAggregate off_all;
-    MitigationAggregate on_all;
+    core::MitigationAggregate off_all;
+    core::MitigationAggregate on_all;
     for (const auto& [target, sides] : by_target) {
       table.add_row({target, core::fmt(sides.first.mean_deg(), 3),
                      core::fmt(sides.second.mean_deg(), 3),
@@ -680,15 +724,6 @@ int cmd_campaign(const Args& args) {
                 table.to_string().c_str());
     std::printf("mitigation totals (on): %lld throttle waits, %.3f s total delay\n",
                 on_all.throttle_waits, on_all.throttle_delay_s);
-    if (args.options.count("json") != 0) {
-      std::printf(
-          "{\"policy\":\"%s\",\"off_deg\":%.6f,\"on_deg\":%.6f,"
-          "\"off_p99_ms\":%.6f,\"on_p99_ms\":%.6f,\"throttle_waits\":%lld,"
-          "\"throttle_delay_s\":%.6f}\n",
-          ctrl::to_spec(mitigation).c_str(), off_all.mean_deg(), on_all.mean_deg(),
-          off_all.mean_p99(), on_all.mean_p99(), on_all.throttle_waits,
-          on_all.throttle_delay_s);
-    }
   }
   return 0;
 }
@@ -870,16 +905,7 @@ int cmd_dump_trace(const Args& args) {
     std::fprintf(stderr, "%s\n", workloads::workload_name_error(target).c_str());
     return 1;
   }
-  core::ScenarioConfig cfg;
-  cfg.cluster = core::testbed_cluster_config(
-      static_cast<std::uint64_t>(args.get_int("seed", 1)));
-  cfg.target.workload = target;
-  cfg.target.nodes = {0, 1};
-  cfg.target.procs_per_node = 2;
-  cfg.target.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  cfg.target.scale = args.get_double("scale", 1.0);
-  cfg.monitors = false;
-  apply_cluster_options(cfg, args);
+  const core::ScenarioConfig cfg = target_scenario(target, args);
   const auto res = core::run_scenario(cfg);
   const std::string out = args.get("out", "");
   write_file(out, [&](std::ostream& os) { trace::write_dxt(os, res.trace); });
@@ -1033,77 +1059,36 @@ BenchOutcome run_sync_bench(const serve::ServingModel& model, std::size_t n_requ
   return out;
 }
 
-void print_bench_outcome(const char* mode, const BenchOutcome& o,
-                         const serve::ServiceConfig* scfg, int producers,
-                         std::uint64_t swaps, const serve::ServiceStats* stats,
-                         bool json) {
+void print_bench_outcome(const char* mode, const BenchOutcome& o, std::uint64_t swaps,
+                         const serve::ServiceStats* stats) {
   const double rps = o.wall_s > 0 ? static_cast<double>(o.requests) / o.wall_s : 0.0;
   const double mean =
       o.latencies_us.empty()
           ? 0.0
           : std::accumulate(o.latencies_us.begin(), o.latencies_us.end(), 0.0) /
                 static_cast<double>(o.latencies_us.size());
-  if (json) {
-    std::printf("{\"mode\": \"%s\", \"producers\": %d, \"requests\": %llu", mode,
-                producers, static_cast<unsigned long long>(o.requests));
-    if (scfg != nullptr) {
-      std::printf(", \"max_batch\": %zu, \"max_delay_us\": %lld, \"ring\": %zu",
-                  scfg->max_batch, static_cast<long long>(scfg->max_delay_us),
-                  scfg->ring_capacity);
-    }
-    std::printf(", \"wall_s\": %.6f, \"throughput_rps\": %.1f, \"mean_us\": %.2f"
-                ", \"p50_us\": %.2f, \"p99_us\": %.2f, \"p999_us\": %.2f"
-                ", \"max_us\": %.2f",
-                o.wall_s, rps, mean, percentile(o.latencies_us, 0.50),
-                percentile(o.latencies_us, 0.99), percentile(o.latencies_us, 0.999),
-                o.latencies_us.empty() ? 0.0 : o.latencies_us.back());
-    if (stats != nullptr) {
-      const auto batches = stats->batches.load();
-      std::printf(", \"batches\": %llu, \"mean_batch_rows\": %.2f"
-                  ", \"full_batches\": %llu, \"timeout_batches\": %llu"
-                  ", \"rejected\": %llu",
-                  static_cast<unsigned long long>(batches),
-                  batches > 0 ? static_cast<double>(stats->requests.load()) /
-                                    static_cast<double>(batches)
-                              : 0.0,
-                  static_cast<unsigned long long>(stats->full_batches.load()),
-                  static_cast<unsigned long long>(stats->timeout_batches.load()),
-                  static_cast<unsigned long long>(stats->rejected.load()));
-    }
-    std::printf(", \"swaps\": %llu, \"by_version\": {",
+  std::printf("%s: %llu requests in %.3f s -> %.0f predictions/s\n", mode,
+              static_cast<unsigned long long>(o.requests), o.wall_s, rps);
+  std::printf("latency us: mean %.1f  p50 %.1f  p99 %.1f  p999 %.1f  max %.1f\n", mean,
+              percentile(o.latencies_us, 0.50), percentile(o.latencies_us, 0.99),
+              percentile(o.latencies_us, 0.999),
+              o.latencies_us.empty() ? 0.0 : o.latencies_us.back());
+  if (stats != nullptr && stats->batches.load() > 0) {
+    std::printf("batches: %llu (mean %.1f rows; %llu full, %llu timeout)\n",
+                static_cast<unsigned long long>(stats->batches.load()),
+                static_cast<double>(stats->requests.load()) /
+                    static_cast<double>(stats->batches.load()),
+                static_cast<unsigned long long>(stats->full_batches.load()),
+                static_cast<unsigned long long>(stats->timeout_batches.load()));
+  }
+  if (swaps > 0) {
+    std::printf("hot swaps under load: %llu (served by version:",
                 static_cast<unsigned long long>(swaps));
-    bool first = true;
     for (const auto& [v, c] : o.by_version) {
-      std::printf("%s\"%llu\": %llu", first ? "" : ", ",
-                  static_cast<unsigned long long>(v),
+      std::printf(" v%llu=%llu", static_cast<unsigned long long>(v),
                   static_cast<unsigned long long>(c));
-      first = false;
     }
-    std::printf("}}\n");
-  } else {
-    std::printf("%s: %llu requests in %.3f s -> %.0f predictions/s\n", mode,
-                static_cast<unsigned long long>(o.requests), o.wall_s, rps);
-    std::printf("latency us: mean %.1f  p50 %.1f  p99 %.1f  p999 %.1f  max %.1f\n",
-                mean, percentile(o.latencies_us, 0.50), percentile(o.latencies_us, 0.99),
-                percentile(o.latencies_us, 0.999),
-                o.latencies_us.empty() ? 0.0 : o.latencies_us.back());
-    if (stats != nullptr && stats->batches.load() > 0) {
-      std::printf("batches: %llu (mean %.1f rows; %llu full, %llu timeout)\n",
-                  static_cast<unsigned long long>(stats->batches.load()),
-                  static_cast<double>(stats->requests.load()) /
-                      static_cast<double>(stats->batches.load()),
-                  static_cast<unsigned long long>(stats->full_batches.load()),
-                  static_cast<unsigned long long>(stats->timeout_batches.load()));
-    }
-    if (swaps > 0) {
-      std::printf("hot swaps under load: %llu (served by version:",
-                  static_cast<unsigned long long>(swaps));
-      for (const auto& [v, c] : o.by_version) {
-        std::printf(" v%llu=%llu", static_cast<unsigned long long>(v),
-                    static_cast<unsigned long long>(c));
-      }
-      std::printf(")\n");
-    }
+    std::printf(")\n");
   }
 }
 
@@ -1118,8 +1103,7 @@ int cmd_serve_bench(const Args& args) {
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
   if (args.options.count("sync") != 0) {
     const BenchOutcome o = run_sync_bench(model, requests, seed);
-    print_bench_outcome("sync", o, nullptr, 1, 0, nullptr,
-                        args.options.count("json") != 0);
+    print_bench_outcome("sync", o, 0, nullptr);
     return 0;
   }
   serve::ServiceConfig scfg;
@@ -1182,8 +1166,7 @@ int cmd_serve_bench(const Args& args) {
     for (const auto& [v, c] : p.by_version) merged.by_version[v] += c;
   }
   std::sort(merged.latencies_us.begin(), merged.latencies_us.end());
-  print_bench_outcome("batched", merged, &scfg, producers, swaps.load(),
-                      &service.stats(), args.options.count("json") != 0);
+  print_bench_outcome("batched", merged, swaps.load(), &service.stats());
   return 0;
 }
 
@@ -1249,21 +1232,10 @@ int cmd_serve_verify(const Args& args) {
     }
     if (!same) ++mismatches;
   }
-  const bool json = args.options.count("json") != 0;
-  if (json) {
-    std::printf("{\"mode\": \"verify\", \"requests\": %zu, \"producers\": %d"
-                ", \"max_batch\": %zu, \"batches\": %llu, \"mismatches\": %zu"
-                ", \"identical\": %s}\n",
-                total, producers, scfg.max_batch,
-                static_cast<unsigned long long>(service.stats().batches.load()),
-                mismatches, mismatches == 0 ? "true" : "false");
-  } else {
-    std::printf("verified %zu batched predictions against the sync path: %s"
-                " (%llu batches, %zu mismatches)\n",
-                total, mismatches == 0 ? "bit-identical" : "MISMATCH",
-                static_cast<unsigned long long>(service.stats().batches.load()),
-                mismatches);
-  }
+  std::printf("verified %zu batched predictions against the sync path: %s"
+              " (%llu batches, %zu mismatches)\n",
+              total, mismatches == 0 ? "bit-identical" : "MISMATCH",
+              static_cast<unsigned long long>(service.stats().batches.load()), mismatches);
   return mismatches == 0 ? 0 : 1;
 }
 
@@ -1299,8 +1271,11 @@ int cmd_serve(const Args& args) {
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
-  const Args args = parse(argc, argv);
+  const std::string verb = cmd == "serve" && argc > 2 ? cmd + " " + argv[2] : cmd;
+  const auto accepted = verb_options().find(verb);
+  if (accepted == verb_options().end()) return usage();
   try {
+    const Args args = parse(verb, accepted->second, argc, argv);
     if (cmd == "workloads") return cmd_workloads(args);
     if (cmd == "run") return cmd_run(args);
     if (cmd == "campaign") return cmd_campaign(args);
@@ -1308,10 +1283,12 @@ int main(int argc, char** argv) {
     if (cmd == "eval") return cmd_eval(args);
     if (cmd == "dataset") return cmd_dataset(args);
     if (cmd == "dump-trace") return cmd_dump_trace(args);
-    if (cmd == "serve") return cmd_serve(args);
+    return cmd_serve(args);
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  return usage();
 }
