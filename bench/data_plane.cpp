@@ -14,9 +14,10 @@
 //              place, no payload copy
 //   qlz:       the compressed .qds path (save/load + on-disk bytes)
 // and prints one JSON object to stdout.  It is run by hand (the repo's
-// benchmark is benchmark/run.sh).  The headline number is
-// load_speedup_qds_vs_csv: the binary reader is O(read) where CSV
-// re-parses every cell.
+// benchmark is benchmark/run.sh).  An unknown option, or an option without
+// its value, exits 2 naming it before any work starts.  The headline
+// number is load_speedup_qds_vs_csv: the binary reader is O(read) where
+// CSV re-parses every cell.
 //
 // --streaming-rows N adds a "streaming" leg: a synthetic N-row dataset is
 // written shard by shard (never fully resident), then trained through the
@@ -26,12 +27,16 @@
 // the streaming leg must not inherit the campaign legs' pages.
 #include <sys/resource.h>
 
+#include <charconv>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "qif/core/datasets.hpp"
@@ -239,6 +244,30 @@ StreamingTimes run_streaming(std::size_t rows, std::size_t budget_mib) {
   return out;
 }
 
+/// Exits 2 naming a misspelled, valueless or malformed option, before any
+/// campaign work starts.
+[[noreturn]] void usage_error(const std::string& what) {
+  std::fprintf(stderr,
+               "data_plane: %s\n"
+               "usage: data_plane [--richness R]... [--streaming-rows N]"
+               " [--streaming-budget-mib M]\n",
+               what.c_str());
+  std::exit(2);
+}
+
+/// The whole of `text` as a non-negative number of type T, or a usage
+/// error naming `option`.
+template <typename T>
+T parse_value(const std::string& option, const char* text) {
+  const std::string_view v = text;
+  T out{};
+  const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
+  if (ec != std::errc{} || end != v.data() + v.size() || !(out >= T{})) {
+    usage_error("bad " + option + " value '" + std::string(v) + "'");
+  }
+  return out;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -246,12 +275,21 @@ int main(int argc, char** argv) {
   std::size_t streaming_rows = 0;
   std::size_t streaming_budget_mib = 256;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--richness") == 0 && i + 1 < argc) {
-      richnesses.push_back(std::atof(argv[++i]));
-    } else if (std::strcmp(argv[i], "--streaming-rows") == 0 && i + 1 < argc) {
-      streaming_rows = static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--streaming-budget-mib") == 0 && i + 1 < argc) {
-      streaming_budget_mib = static_cast<std::size_t>(std::atoll(argv[++i]));
+    const std::string a = argv[i];
+    if (a != "--richness" && a != "--streaming-rows" && a != "--streaming-budget-mib") {
+      usage_error("unknown option " + a +
+                  " (accepted: --richness, --streaming-rows, --streaming-budget-mib)");
+    }
+    if (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
+      usage_error("option " + a + " needs a value");
+    }
+    const char* value = argv[++i];
+    if (a == "--richness") {
+      richnesses.push_back(parse_value<double>(a, value));
+    } else if (a == "--streaming-rows") {
+      streaming_rows = parse_value<std::size_t>(a, value);
+    } else {
+      streaming_budget_mib = parse_value<std::size_t>(a, value);
     }
   }
   // A streaming-only invocation skips the campaign legs: peak RSS is a

@@ -11,8 +11,9 @@
 # leg fuzzes the .qifm model parser and the trainer's width checks, runs
 # the scenario tests with LeakSanitizer on, and runs the event engine,
 # extent-map, GEMM and network tests), and an
-# UndefinedBehaviorSanitizer leg over the trace-storage, event-engine,
-# extent-map, GEMM and network tests.
+# UndefinedBehaviorSanitizer leg over the trace-storage (record layout and
+# allocation counts included), fault-path, event-engine, extent-map, GEMM
+# and network tests.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -127,22 +128,28 @@ ASAN_OPTIONS=detect_leaks=1 ./build-asan/tests/test_campaign_mitigate
 ./build-asan/tests/test_pfs_read_cache
 ./build-asan/tests/test_pfs_writeback
 
-echo "=== tier-1: trace storage, event engine, extent maps and GEMM under UBSan ==="
-# The trace log's fixed blocks and the records' inline target lists do
-# their own index arithmetic and union storage; every test that records,
-# dumps, replays, observes or fingerprints traces runs with UB trapping.
-# So do the engine's chunked slot indexing and in-place closure storage,
-# the flat extent maps' index arithmetic, and the GEMM's transpose and
-# padded-tile indexing under every layer and network.
+echo "=== tier-1: trace storage, fault paths, event engine, extent maps and GEMM under UBSan ==="
+# The trace log's fixed blocks and the records' 16-bit target lists (whose
+# spill pointer shares bytes with the inline ids) and replay boxes do their
+# own index arithmetic and byte-level storage; every test that records,
+# dumps, replays, observes or fingerprints traces runs with UB trapping,
+# as do test_trace_alloc, which pins what a record owns, and
+# test_pfs_faults, which drives the retry/timeout counters that end up in
+# every faulted record.  So do the engine's chunked slot indexing and
+# in-place closure storage, the flat extent maps' index arithmetic, and the
+# GEMM's transpose and padded-tile indexing under every layer and network.
 cmake -B build-ubsan -S . -DQIF_SANITIZE=undefined
-cmake --build build-ubsan -j --target test_trace test_export test_replay test_monitor \
-  test_pfs_client test_sim_golden test_sim_simulation test_pfs_read_cache test_pfs_writeback \
-  test_ml_gemm test_ml_nn test_ml_kernelnet test_ml_attention
+cmake --build build-ubsan -j --target test_trace test_trace_alloc test_export test_replay \
+  test_monitor test_pfs_client test_pfs_faults test_sim_golden test_sim_simulation \
+  test_pfs_read_cache test_pfs_writeback test_ml_gemm test_ml_nn test_ml_kernelnet \
+  test_ml_attention
 ./build-ubsan/tests/test_trace
+./build-ubsan/tests/test_trace_alloc
 ./build-ubsan/tests/test_export
 ./build-ubsan/tests/test_replay
 ./build-ubsan/tests/test_monitor
 ./build-ubsan/tests/test_pfs_client
+./build-ubsan/tests/test_pfs_faults
 ./build-ubsan/tests/test_sim_golden
 ./build-ubsan/tests/test_sim_simulation
 ./build-ubsan/tests/test_pfs_read_cache

@@ -20,10 +20,13 @@ void schedule_tick(sim::Simulation& s, std::uint32_t ctx, Controller* c,
   });
 }
 
+/// Nearest-rank p99; reorders `durations`.
 double p99_ms(std::vector<sim::SimDuration>& durations) {
   if (durations.empty()) return 0.0;
-  std::sort(durations.begin(), durations.end());
-  return sim::to_millis(durations[(durations.size() - 1) * 99 / 100]);
+  const auto p99 =
+      durations.begin() + static_cast<std::ptrdiff_t>((durations.size() - 1) * 99 / 100);
+  std::nth_element(durations.begin(), p99, durations.end());
+  return sim::to_millis(*p99);
 }
 
 }  // namespace

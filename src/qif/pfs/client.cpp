@@ -68,9 +68,7 @@ void PfsClient::release(OpHandle h) {
 
 void PfsClient::emit(Op& op, FileId file) {
   trace::OpRecord rec;
-  rec.path = std::move(op.path);
-  rec.stripes = op.stripes;
-  rec.stripe_hint = op.stripe_hint;
+  rec.replay = trace::ReplayColumns(op.path, op.stripes, op.stripe_hint);
   rec.job = job_;
   rec.rank = rank_;
   rec.op_index = next_op_index_++;

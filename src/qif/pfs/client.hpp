@@ -190,7 +190,7 @@ class PfsClient {
   [[nodiscard]] Op* live_op(OpHandle h);
   /// Frees the slot; every outstanding handle to the op goes stale.
   void release(OpHandle h);
-  /// Records the finished op (moving its path and targets out).
+  /// Records the finished op (moving its targets out).
   void emit(Op& op, FileId file);
 
   void data_op(bool is_write, const FileHandle& fh, std::int64_t offset, std::int64_t len,

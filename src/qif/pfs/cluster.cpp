@@ -1,16 +1,41 @@
 #include "qif/pfs/cluster.hpp"
 
 #include <algorithm>
-
-#include "qif/pfs/admission.hpp"
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
+#include "qif/pfs/admission.hpp"
+
 namespace qif::pfs {
 
+void ClusterConfig::validate() const {
+  if (n_oss < 1 || osts_per_oss < 1) {
+    throw std::invalid_argument("cluster: need at least 1 OSS and 1 OST per OSS (got " +
+                                std::to_string(n_oss) + " x " + std::to_string(osts_per_oss) +
+                                ")");
+  }
+  const std::int64_t n_osts = std::int64_t{n_oss} * osts_per_oss;
+  if (n_osts > std::numeric_limits<std::int16_t>::max()) {
+    throw std::invalid_argument("cluster: " + std::to_string(n_osts) + " OSTs; at most " +
+                                std::to_string(std::numeric_limits<std::int16_t>::max()) +
+                                " fit the trace's 16-bit server ids");
+  }
+}
+
+namespace {
+
+const ClusterConfig& validated(const ClusterConfig& config) {
+  config.validate();
+  return config;
+}
+
+}  // namespace
+
 Cluster::Cluster(sim::Simulation& sim, const ClusterConfig& config)
-    : single_sim_(&sim), config_(config) {
+    : single_sim_(&sim), config_(validated(config)) {
   build_servers(config_);
   net_ = std::make_unique<NetworkFabric>(sim, config_.network, config_.n_client_nodes,
                                          config_.n_oss + 1);
@@ -19,7 +44,7 @@ Cluster::Cluster(sim::Simulation& sim, const ClusterConfig& config)
 }
 
 Cluster::Cluster(sim::LaneGroup& lanes, const ClusterConfig& config)
-    : lanes_(&lanes), config_(config) {
+    : lanes_(&lanes), config_(validated(config)) {
   const int L = lanes.data_lanes();
   if (L < 1) {
     throw std::invalid_argument("lane partition: need at least 1 data lane");

@@ -36,6 +36,12 @@ struct ClusterConfig {
   NetworkParams network;
   ClientParams client;
   std::uint64_t seed = 42;
+
+  /// Throws std::invalid_argument unless the cluster has at least one OSS
+  /// and one OST per OSS, and at most INT16_MAX OSTs in all: trace records
+  /// keep server ids in 16 bits (trace::TargetList).  Cluster checks this
+  /// before it builds anything.
+  void validate() const;
 };
 
 class Cluster {

@@ -27,13 +27,13 @@ pfs::OpType op_from_name(std::string_view name, std::int64_t line, std::int64_t 
 // itself, which would read back as empty.
 constexpr std::string_view kEmptyPath = "-";
 
-void check_path_writable(const std::string& path) {
+void check_path_writable(std::string_view path) {
   if (path == kEmptyPath) {
     throw std::invalid_argument("DXT path '-' is reserved for an empty path");
   }
   for (const char c : path) {
     if (c == ' ' || c == '\t' || c == '\n' || c == '\r') {
-      throw std::invalid_argument("DXT path contains whitespace: '" + path + "'");
+      throw std::invalid_argument("DXT path contains whitespace: '" + std::string(path) + "'");
     }
   }
 }
@@ -45,11 +45,12 @@ void write_dxt(std::ostream& os, const TraceLog& log) {
   os << "# job rank op_index type file offset bytes start_ns end_ns path stripes hint"
         " targets...\n";
   for (const OpRecord& r : log.records()) {
-    check_path_writable(r.path);
+    const std::string_view path = r.replay.path();
+    check_path_writable(path);
     os << r.job << ' ' << r.rank << ' ' << r.op_index << ' ' << pfs::op_name(r.type)
        << ' ' << r.file << ' ' << r.offset << ' ' << r.bytes << ' ' << r.start << ' '
-       << r.end << ' ' << (r.path.empty() ? kEmptyPath : std::string_view(r.path)) << ' '
-       << r.stripes << ' ' << r.stripe_hint;
+       << r.end << ' ' << (path.empty() ? kEmptyPath : path) << ' ' << r.replay.stripes()
+       << ' ' << r.replay.stripe_hint();
     for (const auto t : r.targets) os << ' ' << t;
     os << '\n';
   }
@@ -105,16 +106,17 @@ trace::TraceLog read_dxt(std::istream& is) {
     r.start = fields.next_int<sim::SimTime>("DXT start");
     r.end = fields.next_int<sim::SimTime>("DXT end");
     if (version >= 2) {
-      const std::string_view path = fields.next_required("DXT path");
-      if (path != kEmptyPath) r.path = std::string(path);
-      r.stripes = fields.next_int<std::int32_t>("DXT stripes");
-      r.stripe_hint = fields.next_int<std::int32_t>("DXT stripe_hint");
+      std::string_view path = fields.next_required("DXT path");
+      if (path == kEmptyPath) path = {};
+      const auto stripes = fields.next_int<std::int32_t>("DXT stripes");
+      const auto stripe_hint = fields.next_int<std::int32_t>("DXT stripe_hint");
+      r.replay = ReplayColumns(path, stripes, stripe_hint);
     }
     // Every remaining token is a target server id; "1 2 x" must throw with
     // the position of "x", not drop it.
     for (std::string_view tok = fields.next(); !tok.empty(); tok = fields.next()) {
       r.targets.push_back(
-          parse_int_cell<std::int32_t>(tok, "DXT target", line_no, fields.column));
+          parse_int_cell<std::int16_t>(tok, "DXT target", line_no, fields.column));
     }
     log.record(std::move(r));
   }

@@ -12,11 +12,15 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <initializer_list>
 #include <iterator>
+#include <limits>
+#include <memory>
 #include <span>
-#include <string>
+#include <stdexcept>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -25,22 +29,35 @@
 
 namespace qif::trace {
 
-/// The servers one op touched, in first-touch order.  Stores up to
-/// kInline ids in place and spills to the heap only beyond that, so
-/// recording a typical op costs no allocation: every shipped workload on
-/// the paper's 6-OST testbed touches at most 6 servers per op, and the
-/// 1008-client cluster touches exactly 1.
+/// Sentinel "server id" for the metadata target in `targets` and in the
+/// per-server feature vectors (OSTs use their dense ids 0..n-1; the MDT is
+/// appended after them by the cluster, so this constant is resolved against
+/// a concrete cluster via Cluster::mdt_server_index()).
+inline constexpr std::int32_t kMdtTarget = -1;
+
+/// The servers one op touched, in first-touch order, as 16-bit ids: OST
+/// ids fit because a cluster has at most INT16_MAX OSTs (ClusterConfig's
+/// validate()), and the MDT is kMdtTarget.  The list is 16 bytes: a
+/// 2-byte size, a 2-byte capacity and kInline ids in place.  Beyond that
+/// it spills to the heap, and the spill pointer takes the bytes of inline
+/// ids 2..5, so recording a typical op costs no allocation: every shipped
+/// workload on the paper's 6-OST testbed touches at most 6 servers per op,
+/// and the 1008-client cluster touches exactly 1.
 class TargetList {
  public:
-  using value_type = std::int32_t;
+  using value_type = std::int16_t;
   using size_type = std::size_t;
-  using iterator = const std::int32_t*;
-  using const_iterator = const std::int32_t*;
+  using iterator = const std::int16_t*;
+  using const_iterator = const std::int16_t*;
 
-  static constexpr std::uint32_t kInline = 6;
+  static constexpr std::size_t kInline = 6;
+  /// The most ids one list holds (16-bit size); push_back past it throws.
+  static constexpr std::size_t kMaxSize = std::numeric_limits<std::uint16_t>::max();
 
   TargetList() = default;
-  TargetList(std::initializer_list<std::int32_t> ids) { assign(ids.begin(), ids.end()); }
+  TargetList(std::initializer_list<std::int32_t> ids) {
+    for (const std::int32_t id : ids) push_back(id);
+  }
   TargetList(const TargetList& other) { assign(other.begin(), other.end()); }
   TargetList(TargetList&& other) noexcept { steal(other); }
   TargetList& operator=(const TargetList& other) {
@@ -62,15 +79,17 @@ class TargetList {
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::size_t capacity() const { return cap_; }
-  [[nodiscard]] const std::int32_t* data() const { return on_heap() ? heap_ : inline_; }
+  [[nodiscard]] const std::int16_t* data() const { return on_heap() ? heap() : ids_; }
   [[nodiscard]] const_iterator begin() const { return data(); }
   [[nodiscard]] const_iterator end() const { return data() + size_; }
-  [[nodiscard]] std::int32_t operator[](std::size_t i) const { return data()[i]; }
-  [[nodiscard]] std::int32_t back() const { return data()[size_ - 1]; }
+  [[nodiscard]] std::int16_t operator[](std::size_t i) const { return data()[i]; }
+  [[nodiscard]] std::int16_t back() const { return data()[size_ - 1]; }
 
+  /// Appends a server id; `id` must be kMdtTarget or an OST id of a
+  /// validated cluster, so it fits in 16 bits.
   void push_back(std::int32_t id) {
-    if (size_ == cap_) grow(2 * cap_);
-    buffer()[size_++] = id;
+    if (size_ == cap_) grow(std::min<std::size_t>(2 * std::size_t{cap_}, kMaxSize));
+    buffer()[size_++] = static_cast<std::int16_t>(id);
   }
   void clear() { size_ = 0; }
 
@@ -79,90 +98,131 @@ class TargetList {
   }
 
  private:
+  static constexpr std::size_t kHeapSlot = 2;  ///< first inline id the spill pointer overlays
+
   [[nodiscard]] bool on_heap() const { return cap_ > kInline; }
-  [[nodiscard]] std::int32_t* buffer() { return on_heap() ? heap_ : inline_; }
-  void assign(const std::int32_t* first, const std::int32_t* last) {
-    const auto n = static_cast<std::uint32_t>(last - first);
+  [[nodiscard]] std::int16_t* heap() const {
+    std::int16_t* p = nullptr;
+    std::memcpy(&p, ids_ + kHeapSlot, sizeof p);
+    return p;
+  }
+  [[nodiscard]] std::int16_t* buffer() { return on_heap() ? heap() : ids_; }
+  void assign(const std::int16_t* first, const std::int16_t* last) {
+    const auto n = static_cast<std::size_t>(last - first);
     if (n > cap_) grow(n);
     std::copy(first, last, buffer());
-    size_ = n;
+    size_ = static_cast<std::uint16_t>(n);
   }
-  void grow(std::uint32_t cap) {
-    auto* fresh = new std::int32_t[cap];
+  void grow(std::size_t cap) {
+    if (cap <= cap_ || cap > kMaxSize) {
+      throw std::length_error("TargetList: more than kMaxSize server ids");
+    }
+    auto* fresh = new std::int16_t[cap];
     std::copy(begin(), end(), fresh);
     release();
-    heap_ = fresh;
-    cap_ = cap;
+    std::memcpy(ids_ + kHeapSlot, &fresh, sizeof fresh);
+    cap_ = static_cast<std::uint16_t>(cap);
   }
   void release() {
-    if (on_heap()) delete[] heap_;
+    if (on_heap()) delete[] heap();
     cap_ = kInline;
   }
   /// Takes `other`'s ids (and its heap buffer, if any); leaves it empty.
   void steal(TargetList& other) {
     size_ = other.size_;
     cap_ = other.cap_;
-    if (other.on_heap()) {
-      heap_ = other.heap_;
-    } else {
-      std::copy(other.inline_, other.inline_ + other.size_, inline_);
-    }
+    std::memcpy(ids_, other.ids_, sizeof ids_);  // the inline ids or the spill pointer
     other.size_ = 0;
     other.cap_ = kInline;
   }
 
-  std::uint32_t size_ = 0;
-  std::uint32_t cap_ = kInline;
-  union {
-    std::int32_t inline_[kInline] = {};
-    std::int32_t* heap_;
-  };
+  std::uint16_t size_ = 0;
+  std::uint16_t cap_ = kInline;
+  std::int16_t ids_[kInline] = {};
 };
+static_assert(sizeof(TargetList) == 16);
+
+/// The replay columns of one record (the DXT v2 columns): the namespace
+/// path a metadata op addressed and the layout request of a create.  They
+/// let trace replay re-issue the op stream against a fresh cluster.  A
+/// record whose columns all hold their defaults (every data op) owns no
+/// heap memory; any other record owns one heap box holding the two stripe
+/// fields, the path length and the path bytes.
+class ReplayColumns {
+ public:
+  ReplayColumns() = default;
+  explicit ReplayColumns(std::string_view path, std::int32_t stripes = 0,
+                         std::int32_t stripe_hint = -1);
+  ReplayColumns(const ReplayColumns& other)
+      : ReplayColumns(other.path(), other.stripes(), other.stripe_hint()) {}
+  ReplayColumns(ReplayColumns&&) noexcept = default;
+  ReplayColumns& operator=(const ReplayColumns& other) {
+    if (this != &other) *this = ReplayColumns(other);
+    return *this;
+  }
+  ReplayColumns& operator=(ReplayColumns&&) noexcept = default;
+
+  /// True when no column differs from its default (no heap box).
+  [[nodiscard]] bool empty() const { return box_ == nullptr; }
+  /// create/open/stat/unlink/mkdir target path ("" when none).
+  [[nodiscard]] std::string_view path() const {
+    return empty() ? std::string_view{}
+                   : std::string_view(box_.get() + sizeof(Header), header().path_size);
+  }
+  /// kCreate: requested stripe count (0 = all OSTs).
+  [[nodiscard]] std::int32_t stripes() const { return empty() ? 0 : header().stripes; }
+  /// kCreate: requested starting OST (-1 = hashed).
+  [[nodiscard]] std::int32_t stripe_hint() const { return empty() ? -1 : header().stripe_hint; }
+
+ private:
+  struct Header {
+    std::int32_t stripes;
+    std::int32_t stripe_hint;
+    std::uint32_t path_size;
+  };
+  [[nodiscard]] Header header() const {
+    Header h{};
+    std::memcpy(&h, box_.get(), sizeof h);
+    return h;
+  }
+
+  std::unique_ptr<char[]> box_;  ///< a Header followed by path_size path bytes
+};
+static_assert(sizeof(ReplayColumns) == 8);
 
 struct OpRecord {
-  std::int32_t job = 0;           ///< workload instance id within the run
-  pfs::Rank rank = 0;             ///< issuing process
   std::int64_t op_index = 0;      ///< per-rank monotonically increasing index
   pfs::FileId file = pfs::kInvalidFile;
   std::int64_t offset = 0;        ///< file offset (data ops)
   std::int64_t bytes = 0;         ///< payload size (data ops)
   sim::SimTime start = 0;
   sim::SimTime end = 0;
+  std::int32_t job = 0;           ///< workload instance id within the run
+  pfs::Rank rank = 0;             ///< issuing process
   /// Servers this op touched: OST ids for data ops; kMdtTarget for metadata.
   TargetList targets;
-  pfs::OpType type = pfs::OpType::kRead;
+  /// Path and layout request of a metadata op; empty for data ops.  They
+  /// are deliberately excluded from trace_fingerprint(), which covers the
+  /// semantic op stream the golden pins are stated in.
+  ReplayColumns replay;
   // Fault-injection outcome (all zero/false on healthy runs; populated only
   // when the client timeout/retry machinery is enabled).
-  bool failed = false;        ///< retries exhausted — op surfaced EIO
   std::int32_t retries = 0;   ///< RPC attempts re-issued after a timeout
   std::int32_t timeouts = 0;  ///< deadline expiries observed by this op
-  // Replay metadata (the DXT v2 columns): the namespace path a metadata op
-  // addressed and the layout request of a create.  These let trace replay
-  // re-issue the op stream against a fresh cluster; they are deliberately
-  // excluded from trace_fingerprint(), which covers the semantic op stream
-  // the golden pins are stated in.
-  std::int32_t stripes = 0;       ///< kCreate: requested stripe count (0 = all OSTs)
-  std::int32_t stripe_hint = -1;  ///< kCreate: requested starting OST (-1 = hashed)
-  std::string path;               ///< create/open/stat/unlink/mkdir target path
+  pfs::OpType type = pfs::OpType::kRead;
+  bool failed = false;        ///< retries exhausted — op surfaced EIO
 
   [[nodiscard]] sim::SimDuration duration() const { return end - start; }
 };
 
-// The in-memory trace is the largest structure of a big run.  The fields
-// above are ordered so the only padding is two bytes after `failed` and
-// four before `path`, which is what lets six inline targets fit in 144 B.
-static_assert(sizeof(OpRecord) <= 144, "OpRecord grew; reorder fields or shrink TargetList");
-
-/// Sentinel "server id" for the metadata target in `targets` and in the
-/// per-server feature vectors (OSTs use their dense ids 0..n-1; the MDT is
-/// appended after them by the cluster, so this constant is resolved against
-/// a concrete cluster via Cluster::mdt_server_index()).
-inline constexpr std::int32_t kMdtTarget = -1;
+// The in-memory trace is the largest structure of a big run: 90 bytes of
+// fields, padded to 96.  A data op owns no heap memory.
+static_assert(sizeof(OpRecord) <= 96, "OpRecord grew; reorder fields or shrink TargetList");
 
 /// An append-only in-memory trace log for one run.  Completion-ordered.
 ///
 /// Records live in fixed blocks: block k holds 16 << k records up to a cap
-/// of 4096 (576 KiB), and every block after that holds the cap.  Appending
+/// of 4096 (384 KiB), and every block after that holds the cap.  Appending
 /// therefore never holds two copies of the log alive the way a doubling
 /// vector does, and never moves a record (a pointer or reference to one
 /// stays valid until the log is cleared or destroyed), except that the

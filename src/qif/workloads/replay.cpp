@@ -68,12 +68,12 @@ void append_gap(RankAssembly& a, const trace::OpRecord& rec, const ReplayOptions
 }
 
 std::string need_path(const trace::OpRecord& rec) {
-  if (rec.path.empty()) {
+  if (rec.replay.path().empty()) {
     fail("trace op (" + describe(rec) +
          ") has no path metadata — DXT version 1 dumps cannot be replayed; re-dump "
          "the trace with this build to capture paths");
   }
-  return rec.path;
+  return std::string(rec.replay.path());
 }
 
 void append_op(RankAssembly& a, const trace::OpRecord& rec) {
@@ -83,8 +83,8 @@ void append_op(RankAssembly& a, const trace::OpRecord& rec) {
       op.kind = OpSpec::Kind::kCreate;
       op.path = need_path(rec);
       op.slot = a.slot_for(rec.file, /*allocate_mapping=*/true);
-      op.stripes = rec.stripes;
-      op.stripe_hint = rec.stripe_hint;
+      op.stripes = rec.replay.stripes();
+      op.stripe_hint = rec.replay.stripe_hint();
       break;
     case pfs::OpType::kOpen:
       op.kind = OpSpec::Kind::kOpen;

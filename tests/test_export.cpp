@@ -35,9 +35,7 @@ TEST(DxtExport, RoundTripPreservesEveryField) {
   // The replay-metadata columns (file, path, stripes, hint) round-trip too.
   trace::OpRecord create = op(2, 0, 5, pfs::OpType::kCreate, 0, 0, {trace::kMdtTarget});
   create.file = 17;
-  create.path = "/ior/job2/file_r0";
-  create.stripes = 4;
-  create.stripe_hint = 2;
+  create.replay = trace::ReplayColumns("/ior/job2/file_r0", /*stripes=*/4, /*stripe_hint=*/2);
   log.record(create);
   log.record(op(0, 1, 1, pfs::OpType::kWrite, 1 << 20, 47008, {5}));
 
@@ -58,10 +56,55 @@ TEST(DxtExport, RoundTripPreservesEveryField) {
     EXPECT_EQ(a.start, b.start);
     EXPECT_EQ(a.end, b.end);
     EXPECT_EQ(a.targets, b.targets);
-    EXPECT_EQ(a.path, b.path);
-    EXPECT_EQ(a.stripes, b.stripes);
-    EXPECT_EQ(a.stripe_hint, b.stripe_hint);
+    EXPECT_EQ(a.replay.path(), b.replay.path());
+    EXPECT_EQ(a.replay.stripes(), b.replay.stripes());
+    EXPECT_EQ(a.replay.stripe_hint(), b.replay.stripe_hint());
   }
+}
+
+TEST(DxtExport, FaultedRecordRoundTripsEveryDxtColumn) {
+  // DXT v2 has no fault columns: a faulted record's dump carries every
+  // other field, including targets spilled past the inline capacity and
+  // the largest 16-bit OST id, and reads back with a healthy outcome.
+  trace::TargetList targets = {trace::kMdtTarget, 32767};
+  for (std::int32_t t = 0; targets.size() <= trace::TargetList::kInline; ++t) {
+    targets.push_back(t);
+  }
+  trace::OpRecord rec = op(3, 4, 9, pfs::OpType::kWrite, 8192, 1 << 20, targets);
+  rec.file = 11;
+  rec.retries = 2;
+  rec.timeouts = 3;
+  rec.failed = true;
+  trace::TraceLog log;
+  log.record(rec);
+  std::stringstream ss;
+  trace::write_dxt(ss, log);
+  const trace::TraceLog loaded = trace::read_dxt(ss);
+  ASSERT_EQ(loaded.size(), 1u);
+  const trace::OpRecord& got = loaded.records()[0];
+  EXPECT_EQ(got.job, 3);
+  EXPECT_EQ(got.rank, 4);
+  EXPECT_EQ(got.op_index, 9);
+  EXPECT_EQ(got.type, pfs::OpType::kWrite);
+  EXPECT_EQ(got.file, 11);
+  EXPECT_EQ(got.offset, 8192);
+  EXPECT_EQ(got.bytes, 1 << 20);
+  EXPECT_EQ(got.start, rec.start);
+  EXPECT_EQ(got.end, rec.end);
+  EXPECT_EQ(got.targets, targets);
+  EXPECT_TRUE(got.replay.empty());
+  EXPECT_EQ(got.retries, 0);
+  EXPECT_EQ(got.timeouts, 0);
+  EXPECT_FALSE(got.failed);
+  // The logged record itself kept its outcome.
+  EXPECT_EQ(log.records()[0].retries, 2);
+  EXPECT_EQ(log.records()[0].timeouts, 3);
+  EXPECT_TRUE(log.records()[0].failed);
+}
+
+TEST(DxtExport, TargetOutsideSixteenBitsIsRejected) {
+  std::stringstream ss("# DXT qif 2\n0 0 0 read 1 0 8 1000 2000 - 0 -1 32768\n");
+  EXPECT_THROW(trace::read_dxt(ss), std::runtime_error);
 }
 
 TEST(DxtExport, DumpIsCommentedAndGreppable) {
@@ -95,7 +138,7 @@ TEST(DxtExport, RejectsTrailingGarbageOnLine) {
 TEST(DxtExport, WriterRejectsWhitespaceInPaths) {
   trace::TraceLog log;
   trace::OpRecord rec = op(0, 0, 0, pfs::OpType::kOpen, 0, 0, {trace::kMdtTarget});
-  rec.path = "/dir/has space";
+  rec.replay = trace::ReplayColumns("/dir/has space");
   log.record(rec);
   std::stringstream ss;
   EXPECT_THROW(trace::write_dxt(ss, log), std::invalid_argument);
@@ -106,20 +149,20 @@ TEST(DxtExport, EmptyPathRoundTripsAndDashPathIsRejected) {
   trace::TraceLog log;
   log.record(op(0, 0, 0, pfs::OpType::kWrite, 0, 8, {1}));
   trace::OpRecord named = op(0, 0, 1, pfs::OpType::kStat, 0, 0, {trace::kMdtTarget});
-  named.path = "/-";
+  named.replay = trace::ReplayColumns("/-");
   log.record(named);
   std::stringstream ss;
   trace::write_dxt(ss, log);
   const trace::TraceLog loaded = trace::read_dxt(ss);
   ASSERT_EQ(loaded.size(), 2u);
-  EXPECT_TRUE(loaded.records()[0].path.empty());
-  EXPECT_EQ(loaded.records()[1].path, "/-");
+  EXPECT_TRUE(loaded.records()[0].replay.empty());
+  EXPECT_EQ(loaded.records()[1].replay.path(), "/-");
 
   // A real path that is literally "-" would read back as empty, so the
   // writer refuses it.
   trace::TraceLog dash;
   trace::OpRecord rec = op(0, 0, 0, pfs::OpType::kOpen, 0, 0, {trace::kMdtTarget});
-  rec.path = "-";
+  rec.replay = trace::ReplayColumns("-");
   dash.record(rec);
   std::stringstream out;
   try {
@@ -139,7 +182,7 @@ TEST(DxtExport, HeaderlessInputParsesAsVersion1) {
   EXPECT_EQ(r.offset, 4096);
   EXPECT_EQ(r.bytes, 8);
   EXPECT_EQ(r.file, pfs::kInvalidFile);
-  EXPECT_TRUE(r.path.empty());
+  EXPECT_TRUE(r.replay.path().empty());
   EXPECT_EQ(r.targets, (trace::TargetList{1, 2}));
 }
 

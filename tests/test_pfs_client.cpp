@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <tuple>
 #include <vector>
 
@@ -39,6 +42,25 @@ TEST_F(ClusterFixture, TopologyMatchesConfig) {
   EXPECT_EQ(cluster->mds_port(), 3);
   EXPECT_EQ(cluster->server_index(trace::kMdtTarget), 6);
   EXPECT_EQ(cluster->server_index(2), 2);
+}
+
+TEST(ClusterConfig, RejectsAnOstCountBeyondSixteenBitServerIds) {
+  ClusterConfig cfg;
+  cfg.n_oss = std::numeric_limits<std::int16_t>::max();
+  cfg.osts_per_oss = 1;
+  EXPECT_NO_THROW(cfg.validate());  // the largest OST id is 32766
+  cfg.n_oss = 4096;
+  cfg.osts_per_oss = 8;  // 32768 OSTs
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  cfg.n_oss = 1 << 16;
+  cfg.osts_per_oss = 1 << 16;  // overflows int; still rejected
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  cfg.n_oss = 0;
+  cfg.osts_per_oss = 2;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  // The cluster validates before it builds a server.
+  sim::Simulation s;
+  EXPECT_THROW(Cluster(s, cfg), std::invalid_argument);
 }
 
 TEST_F(ClusterFixture, CreateWriteReadCloseRoundTrip) {

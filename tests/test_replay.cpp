@@ -53,7 +53,7 @@ trace::OpRecord make_rec(pfs::Rank rank, std::int64_t op_index, pfs::OpType type
   r.type = type;
   r.start = start;
   r.end = end;
-  r.path = path;
+  r.replay = trace::ReplayColumns(path);
   r.bytes = 4096;
   return r;
 }
@@ -92,7 +92,7 @@ TEST(Replay, ClosedLoopGoldenReproducesTheDumpedOpStream) {
     EXPECT_EQ(got[i]->bytes, want[i]->bytes) << i;
     EXPECT_EQ(got[i]->start, want[i]->start) << i;  // original timing, exactly
     EXPECT_EQ(got[i]->end, want[i]->end) << i;
-    EXPECT_EQ(got[i]->path, want[i]->path) << i;
+    EXPECT_EQ(got[i]->replay.path(), want[i]->replay.path()) << i;
     EXPECT_EQ(got[i]->targets, want[i]->targets) << i;
   }
 }

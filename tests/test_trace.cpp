@@ -2,7 +2,12 @@
 // matching, and degradation labelling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <ostream>
+#include <random>
+#include <stdexcept>
 #include <vector>
 
 #include "qif/core/scenario.hpp"
@@ -201,6 +206,171 @@ TEST(TargetList, InlineUpToCapacityThenSpills) {
   EXPECT_FALSE(small == copy);
   std::vector<std::int32_t> seen(small.begin(), small.end());
   EXPECT_EQ(seen, (std::vector<std::int32_t>{3, kMdtTarget}));
+}
+
+TEST(TargetList, RoundTripsEdgeIdsInlineAndSpilled) {
+  constexpr std::int32_t kLargest = std::numeric_limits<std::int16_t>::max();
+  for (const std::size_t n : {std::size_t{1}, TargetList::kInline - 1, TargetList::kInline,
+                              TargetList::kInline + 1, 5 * TargetList::kInline + 3}) {
+    std::vector<std::int32_t> ids = {kMdtTarget, kLargest};
+    for (std::int32_t i = 0; ids.size() < n; ++i) ids.push_back(kLargest - 1 - i);
+    ids.resize(n);
+    TargetList t;
+    for (const std::int32_t id : ids) t.push_back(id);
+    EXPECT_EQ(t.capacity() == TargetList::kInline, n <= TargetList::kInline) << n;
+    const auto expect_ids = [&](const TargetList& got) {
+      EXPECT_EQ(std::vector<std::int32_t>(got.begin(), got.end()), ids) << n;
+    };
+    expect_ids(t);
+    const TargetList copy = t;
+    expect_ids(copy);
+    TargetList assigned = {1, 2, 3, 4, 5, 6, 7, 8};
+    assigned = copy;
+    expect_ids(assigned);
+    TargetList moved = std::move(t);
+    expect_ids(moved);
+    EXPECT_TRUE(t.empty());  // NOLINT(bugprone-use-after-move)
+    TargetList move_assigned = {9};
+    move_assigned = std::move(moved);
+    expect_ids(move_assigned);
+    expect_ids(copy);  // the copy shares nothing with the original
+  }
+}
+
+TEST(TargetList, PushBeyondMaxSizeThrows) {
+  TargetList t;
+  for (std::size_t i = 0; i < TargetList::kMaxSize; ++i) {
+    t.push_back(static_cast<std::int32_t>(i % 30000));
+  }
+  EXPECT_EQ(t.size(), TargetList::kMaxSize);
+  EXPECT_THROW(t.push_back(0), std::length_error);
+  EXPECT_EQ(t.size(), TargetList::kMaxSize);
+  EXPECT_EQ(t.back(), static_cast<std::int16_t>((TargetList::kMaxSize - 1) % 30000));
+}
+
+// A faulted op's outcome fields travel with its record through copies,
+// moves and gather like every other field.
+TEST(TraceLog, FaultOutcomeSurvivesCopyAndGather) {
+  OpRecord rec = make_op(0, 2, 7, 100, 50, pfs::OpType::kWrite, 1 << 20);
+  rec.retries = 3;
+  rec.timeouts = 4;
+  rec.failed = true;
+  rec.targets = {5, 1};
+  const auto expect_fault = [](const OpRecord& r) {
+    EXPECT_EQ(r.retries, 3);
+    EXPECT_EQ(r.timeouts, 4);
+    EXPECT_TRUE(r.failed);
+    EXPECT_EQ(r.targets, (TargetList{5, 1}));
+    EXPECT_EQ(r.op_index, 7);
+  };
+  TraceLog log;
+  log.record(make_op(0, 0, 0, 0, 1));
+  log.record(rec);
+  const TraceLog copy = log;  // NOLINT(performance-unnecessary-copy-initialization)
+  expect_fault(copy.records()[1]);
+  std::vector<TraceLog> logs;
+  logs.push_back(copy);
+  logs.push_back(std::move(log));
+  const std::vector<TraceLog::RecordRef> order = {{1, 1}, {0, 0}};
+  const TraceLog gathered = TraceLog::gather(logs, order);
+  ASSERT_EQ(gathered.size(), 2u);
+  expect_fault(gathered.records()[0]);
+  EXPECT_EQ(gathered.records()[1].retries, 0);
+}
+
+// The replay columns are owned per record: copies are deep, moves and
+// gather carry them along.
+TEST(TraceLog, ReplayColumnsTravelWithTheirRecord) {
+  OpRecord create = make_op(0, 0, 0, 0, 1, pfs::OpType::kCreate, 0);
+  create.replay = ReplayColumns("/job0/a-path-longer-than-any-small-string-buffer", 2, 5);
+  OpRecord open_op = make_op(0, 0, 1, 1, 1, pfs::OpType::kOpen, 0);
+  open_op.replay = ReplayColumns("/x");
+  TraceLog log;
+  log.record(create);
+  log.record(open_op);
+  log.record(make_op(0, 0, 2, 2, 1));
+  std::vector<TraceLog> logs;
+  logs.push_back(log);  // deep copy
+  log.clear();
+  const std::vector<TraceLog::RecordRef> order = {{0, 2}, {0, 1}, {0, 0}};
+  const TraceLog gathered = TraceLog::gather(logs, order);
+  ASSERT_EQ(gathered.size(), 3u);
+  EXPECT_TRUE(gathered.records()[0].replay.empty());
+  EXPECT_EQ(gathered.records()[1].replay.path(), "/x");
+  EXPECT_EQ(gathered.records()[1].replay.stripes(), 0);
+  EXPECT_EQ(gathered.records()[1].replay.stripe_hint(), -1);
+  EXPECT_EQ(gathered.records()[2].replay.path(), create.replay.path());
+  EXPECT_EQ(gathered.records()[2].replay.stripes(), 2);
+  EXPECT_EQ(gathered.records()[2].replay.stripe_hint(), 5);
+  // Default columns need no box; a stripe request without a path does.
+  EXPECT_TRUE(ReplayColumns("", 0, -1).empty());
+  const ReplayColumns hint_only("", 0, 3);
+  EXPECT_FALSE(hint_only.empty());
+  EXPECT_EQ(hint_only.path(), "");
+  EXPECT_EQ(hint_only.stripe_hint(), 3);
+}
+
+/// sorted_for_job's order as a comparison sort over log order defines it.
+std::vector<const OpRecord*> reference_sort(const TraceLog& log, std::int32_t job) {
+  std::vector<const OpRecord*> out;
+  for (const OpRecord& r : log.records()) {
+    if (r.job == job) out.push_back(&r);
+  }
+  std::sort(out.begin(), out.end(), [](const OpRecord* a, const OpRecord* b) {
+    if (a->rank != b->rank) return a->rank < b->rank;
+    return a->op_index < b->op_index;
+  });
+  return out;
+}
+
+TEST(TraceLog, SortedForJobEqualsTheComparisonSort) {
+  // Per-rank op_index order (what a simulated log holds), then the same
+  // records shuffled, with duplicate keys, and with a sparse rank span.
+  std::vector<OpRecord> ops;
+  for (std::int64_t i = 0; i < 40; ++i) {
+    for (pfs::Rank rank : {3, -1, 0, 7}) ops.push_back(make_op(0, rank, i, i, 1));
+    ops.push_back(make_op(1, 0, i, i, 1));
+  }
+  const auto check = [](const std::vector<OpRecord>& records, const char* what) {
+    TraceLog log;
+    for (const OpRecord& r : records) log.record(r);
+    for (const std::int32_t job : {0, 1, 2}) {
+      EXPECT_EQ(log.sorted_for_job(job), reference_sort(log, job)) << what << " job " << job;
+    }
+  };
+  check(ops, "ordered");
+  std::mt19937 rng(12345);
+  std::vector<OpRecord> shuffled = ops;
+  std::shuffle(shuffled.begin(), shuffled.end(), rng);
+  check(shuffled, "shuffled");
+  std::vector<OpRecord> duplicated = ops;
+  duplicated.push_back(make_op(0, 3, 5, 999, 1));
+  check(duplicated, "duplicate key");
+  std::vector<OpRecord> sparse = {make_op(0, 1 << 30, 0, 0, 1), make_op(0, -(1 << 30), 0, 0, 1),
+                                  make_op(0, 0, 1, 0, 1), make_op(0, 0, 0, 0, 1)};
+  check(sparse, "sparse ranks");
+}
+
+TEST(TraceLog, SortedForJobEqualsTheComparisonSortOnAScenarioLog) {
+  core::ScenarioConfig cfg;
+  cfg.cluster = core::testbed_cluster_config(7);
+  cfg.target.workload = "ior-easy-write";
+  cfg.target.nodes = {0, 1};
+  cfg.target.procs_per_node = 2;
+  cfg.target.scale = 0.05;
+  core::InterferenceSpec noise;
+  noise.workload = "mdt-easy-write";
+  noise.nodes = {2, 3};
+  noise.instances = 2;
+  noise.scale = 0.05;
+  cfg.interference = noise;
+  cfg.monitors = false;
+  const core::ScenarioResult result = core::run_scenario(cfg);
+  for (const std::int32_t job : {0, 1, 2}) {
+    const auto sorted = result.trace.sorted_for_job(job);
+    EXPECT_FALSE(sorted.empty()) << job;
+    EXPECT_EQ(sorted, reference_sort(result.trace, job)) << job;
+  }
 }
 
 TEST(TraceLog, SortedForJobFiltersAndOrders) {

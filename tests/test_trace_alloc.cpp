@@ -2,10 +2,11 @@
 //
 // The in-memory trace is the largest structure of a big run, so its hot
 // operations are pinned by allocation count: recording a typical data op
-// into a warmed log allocates nothing (inline targets, fixed blocks),
-// handing a scenario's trace out of the cluster allocates the same however
-// long the trace is, and matching allocates a fixed number of buffers, not
-// one per record.  This binary replaces global operator new/delete with
+// into a warmed log allocates nothing (inline targets, no replay box, fixed
+// blocks), a metadata op allocates only its replay box, handing a
+// scenario's trace out of the cluster allocates the same however long the
+// trace is, and matching allocates a fixed number of buffers, not one per
+// record.  This binary replaces global operator new/delete with
 // counting versions.
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <string>
 
 #include "qif/core/scenario.hpp"
 #include "qif/pfs/cluster.hpp"
@@ -79,6 +81,32 @@ TEST(TraceAllocations, RecordingADataOpIntoAWarmedLogIsAllocationFree) {
   }
   EXPECT_EQ(w.count(), 0u);
   EXPECT_EQ(log.size(), TraceLog::kFirstBlockRecords);
+}
+
+TEST(TraceAllocations, ADataOpRecordOwnsNoHeapMemory) {
+  const AllocWindow w;
+  const OpRecord r = data_op(0, 0, TargetList::kInline);
+  EXPECT_TRUE(r.replay.empty());
+  EXPECT_EQ(r.targets.capacity(), TargetList::kInline);
+  EXPECT_EQ(w.count(), 0u);
+}
+
+TEST(TraceAllocations, RecordingAMetadataOpAllocatesAtMostOnce) {
+  TraceLog log;
+  log.record(data_op(0, 0, 1));  // allocates the first block
+  const std::string short_path = "/d/f";
+  const std::string long_path(200, 'p');
+  for (const std::string* path : {&short_path, &long_path}) {
+    const AllocWindow w;
+    OpRecord r;
+    r.type = pfs::OpType::kCreate;
+    r.targets = {kMdtTarget};
+    r.replay = ReplayColumns(*path, /*stripes=*/4, /*stripe_hint=*/2);
+    log.record(std::move(r));
+    EXPECT_EQ(w.count(), 1u) << path->size();  // the replay box, path included
+  }
+  EXPECT_EQ(log.records().back().replay.path(), long_path);
+  EXPECT_EQ(log.records().back().replay.stripes(), 4);
 }
 
 TEST(TraceAllocations, TargetsSpillToTheHeapOnlyBeyondInlineCapacity) {
@@ -153,8 +181,9 @@ TEST(TraceAllocations, MatchAllocatesNoBufferPerRecord) {
   EXPECT_EQ(small_matched, 10u);
   EXPECT_EQ(large_matched, 20'000u);
   EXPECT_EQ(small, large);
-  // Two sorted pointer vectors plus the output vector.
-  EXPECT_EQ(large, 3u);
+  // Two sorted pointer vectors, the per-rank offset table each sort builds
+  // (sized by the rank span, not the record count), plus the output vector.
+  EXPECT_EQ(large, 5u);
 }
 
 }  // namespace
