@@ -5,9 +5,7 @@
 // so the "same load on different OSTs" robustness the kernel design *aims*
 // for (shared per-server interpretation) holds exactly; the question is
 // whether giving up slot identity costs in-distribution accuracy.
-#include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <vector>
 
 #include "qif/core/datasets.hpp"
@@ -17,56 +15,23 @@
 #include "qif/ml/preprocess.hpp"
 #include "qif/ml/trainer.hpp"
 
+#include "bench_common.hpp"
+#include "cli_options.hpp"
+
 using namespace qif;
 
 namespace {
-
-monitor::Dataset rotate_osts(const monitor::TableView& ds, int shift) {
-  monitor::Dataset out = ds.materialize();
-  const int n_osts = ds.n_servers() - 1;  // the MDT block (last) stays put
-  const int dim = ds.dim();
-  std::vector<double> rotated(out.width());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    double* row = out.row(i);
-    std::copy(row, row + out.width(), rotated.begin());
-    for (int o = 0; o < n_osts; ++o) {
-      const int dst = (o + shift) % n_osts;
-      std::copy(row + o * dim, row + (o + 1) * dim, rotated.begin() + dst * dim);
-    }
-    std::copy(rotated.begin(), rotated.end(), row);
-  }
-  return out;
-}
 
 // Shared manual training loop so both architectures get identical budgets.
 template <typename Net>
 void train_net(Net& net, const ml::Matrix& x, const std::vector<int>& y,
                const std::vector<double>& weights, int epochs) {
-  sim::Rng rng(31);
-  std::vector<std::size_t> idx(x.rows());
-  for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
-  std::int64_t t = 0;
-  const std::size_t batch = 64;
-  for (int e = 0; e < epochs; ++e) {
-    for (std::size_t i = idx.size(); i > 1; --i) {
-      const auto j =
-          static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(i) - 1));
-      std::swap(idx[i - 1], idx[j]);
-    }
-    for (std::size_t lo = 0; lo < idx.size(); lo += batch) {
-      const std::size_t hi = std::min(idx.size(), lo + batch);
-      ml::Matrix xb(hi - lo, x.cols());
-      std::vector<int> yb(hi - lo);
-      for (std::size_t k = lo; k < hi; ++k) {
-        std::copy(x.row(idx[k]), x.row(idx[k]) + x.cols(), xb.row(k - lo));
-        yb[k - lo] = y[idx[k]];
-      }
-      const ml::Matrix logits = net.forward(xb);
-      auto [loss, d] = ml::SoftmaxXent::loss_and_grad(logits, yb, weights);
-      net.backward(d);
-      net.step(ml::AdamParams{}, ++t);
-    }
-  }
+  bench::train_minibatches(net, x, epochs, 31,
+                           [&](const ml::Matrix& logits, const std::vector<std::size_t>& rows) {
+                             std::vector<int> yb;
+                             for (const std::size_t r : rows) yb.push_back(y[r]);
+                             return ml::SoftmaxXent::loss_and_grad(logits, yb, weights).second;
+                           });
 }
 
 template <typename Net>
@@ -82,19 +47,18 @@ std::pair<double, double> evaluate_both(const Net& net, const ml::Matrix& xt,
 
 }  // namespace
 
+const cli::Command kCommand{
+    "ablation_attention", "", 0, "attention pooling against the kernel-based network",
+    {{"richness", cli::Kind::kReal, "R", "campaign richness", "2", 0}}};
+
 int main(int argc, char** argv) {
-  double richness = 2.0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--richness") == 0 && i + 1 < argc) {
-      richness = std::atof(argv[++i]);
-    }
-  }
+  const cli::Args args = cli::parse_or_exit(kCommand, argc, argv);
   std::printf("=== Ablation: attention pooling (future work) vs kernel-based net ===\n");
   core::DatasetOptions opts;
-  opts.richness = richness;
+  opts.richness = args.get<double>("richness");
   const monitor::Dataset ds = core::build_io500_dataset(opts);
   auto [train, test] = ml::split_dataset(ds, 0.2, 37);
-  const monitor::Dataset rotated = rotate_osts(test, 2);
+  const monitor::Dataset rotated = bench::rotate_osts(test, 2);
   std::printf("windows: %zu train / %zu test\n\n", train.size(), test.size());
 
   ml::Standardizer stdz;

@@ -6,13 +6,14 @@
 // paper's design claim that *both* application-side request patterns and
 // server-side queue state are needed to predict interference impact.
 #include <cstdio>
-#include <cstring>
 #include <vector>
 
 #include "qif/core/datasets.hpp"
 #include "qif/core/training_server.hpp"
 #include "qif/ml/preprocess.hpp"
 #include "qif/monitor/schema.hpp"
+
+#include "cli_options.hpp"
 
 using namespace qif;
 
@@ -42,16 +43,15 @@ double train_eval(const monitor::TableView& train, const monitor::TableView& tes
 
 }  // namespace
 
+const cli::Command kCommand{
+    "ablation_features", "", 0, "feature-group knockouts of the binary IO500 model",
+    {{"richness", cli::Kind::kReal, "R", "campaign richness", "2", 0}}};
+
 int main(int argc, char** argv) {
-  double richness = 2.0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--richness") == 0 && i + 1 < argc) {
-      richness = std::atof(argv[++i]);
-    }
-  }
+  const cli::Args args = cli::parse_or_exit(kCommand, argc, argv);
   std::printf("=== Ablation: feature-group importance (binary IO500 model) ===\n");
   core::DatasetOptions opts;
-  opts.richness = richness;
+  opts.richness = args.get<double>("richness");
   const monitor::Dataset ds = core::build_io500_dataset(opts);
   auto [train, test] = ml::split_dataset(ds, 0.2, 31);
   std::printf("windows: %zu train / %zu test\n\n", train.size(), test.size());

@@ -9,14 +9,14 @@
 //   1. test macro-F1,
 //   2. robustness when the test windows' OST vectors are rotated — i.e.
 //      the same load lands on *different* servers than in training.
-#include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <vector>
 
 #include "qif/core/datasets.hpp"
 #include "qif/core/training_server.hpp"
 #include "qif/ml/preprocess.hpp"
+
+#include "bench_common.hpp"
+#include "cli_options.hpp"
 
 using namespace qif;
 
@@ -27,26 +27,6 @@ namespace {
 monitor::Dataset flatten(const monitor::TableView& ds) {
   monitor::Dataset out = ds.materialize();
   out.reshape(1, ds.n_servers() * ds.dim());
-  return out;
-}
-
-/// Rotates the OST blocks of every row by `shift` (the MDT block, last,
-/// stays in place): the workload that hit OSTs {0,1} now appears on
-/// {shift, shift+1}, emulating a run that targeted different servers.
-monitor::Dataset rotate_osts(const monitor::TableView& ds, int shift) {
-  monitor::Dataset out = ds.materialize();
-  const int n_osts = ds.n_servers() - 1;
-  const int dim = ds.dim();
-  std::vector<double> rotated(out.width());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    double* row = out.row(i);
-    std::copy(row, row + out.width(), rotated.begin());
-    for (int o = 0; o < n_osts; ++o) {
-      const int dst = (o + shift) % n_osts;
-      std::copy(row + o * dim, row + (o + 1) * dim, rotated.begin() + dst * dim);
-    }
-    std::copy(rotated.begin(), rotated.end(), row);
-  }
   return out;
 }
 
@@ -69,19 +49,18 @@ Scores run(const monitor::TableView& train, const monitor::TableView& test,
 
 }  // namespace
 
+const cli::Command kCommand{
+    "ablation_kernel_vs_flat", "", 0, "the kernel-based network against a flat MLP",
+    {{"richness", cli::Kind::kReal, "R", "campaign richness", "2", 0}}};
+
 int main(int argc, char** argv) {
-  double richness = 2.0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--richness") == 0 && i + 1 < argc) {
-      richness = std::atof(argv[++i]);
-    }
-  }
+  const cli::Args args = cli::parse_or_exit(kCommand, argc, argv);
   std::printf("=== Ablation: kernel-based network vs flat MLP ===\n");
   core::DatasetOptions opts;
-  opts.richness = richness;
+  opts.richness = args.get<double>("richness");
   const monitor::Dataset ds = core::build_io500_dataset(opts);
   auto [train, test] = ml::split_dataset(ds, 0.2, 29);
-  const monitor::Dataset rotated = rotate_osts(test, 3);
+  const monitor::Dataset rotated = bench::rotate_osts(test, 3);
   std::printf("windows: %zu train / %zu test\n\n", train.size(), test.size());
 
   const Scores kernel = run(train, test, rotated);

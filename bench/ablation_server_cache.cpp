@@ -14,21 +14,16 @@
 #include "qif/core/report.hpp"
 #include "qif/core/scenario.hpp"
 
+#include "bench_common.hpp"
+
 using namespace qif;
 
 namespace {
 
 double slowdown(const std::string& target, double target_scale, const std::string& noise,
                 std::int64_t cache_bytes) {
-  core::ScenarioConfig cfg;
-  cfg.cluster = core::testbed_cluster_config(1);
+  core::ScenarioConfig cfg = bench::solo_scenario(target, 1, target_scale);
   cfg.cluster.read_cache.capacity_bytes = cache_bytes;
-  cfg.target.workload = target;
-  cfg.target.nodes = {0, 1};
-  cfg.target.procs_per_node = 2;
-  cfg.target.seed = 1;
-  cfg.target.scale = target_scale;
-  cfg.monitors = false;
   const double solo = sim::to_seconds(core::run_scenario(cfg).target_body_duration());
   core::InterferenceSpec spec;
   spec.workload = noise;

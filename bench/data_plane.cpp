@@ -14,8 +14,8 @@
 //              place, no payload copy
 //   qlz:       the compressed .qds path (save/load + on-disk bytes)
 // and prints one JSON object to stdout.  It is run by hand (the repo's
-// benchmark is benchmark/run.sh).  An unknown option, or an option without
-// its value, exits 2 naming it before any work starts.  The headline
+// benchmark is benchmark/run.sh).  A misspelled, valueless or malformed
+// option exits 2 naming it before any work starts.  The headline
 // number is load_speedup_qds_vs_csv: the binary reader is O(read) where
 // CSV re-parses every cell.
 //
@@ -27,16 +27,12 @@
 // the streaming leg must not inherit the campaign legs' pages.
 #include <sys/resource.h>
 
-#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <string_view>
-#include <system_error>
 #include <vector>
 
 #include "qif/core/datasets.hpp"
@@ -45,6 +41,8 @@
 #include "qif/monitor/export.hpp"
 #include "qif/monitor/qds_file.hpp"
 #include "qif/sim/rng.hpp"
+
+#include "cli_options.hpp"
 
 using namespace qif;
 
@@ -244,54 +242,22 @@ StreamingTimes run_streaming(std::size_t rows, std::size_t budget_mib) {
   return out;
 }
 
-/// Exits 2 naming a misspelled, valueless or malformed option, before any
-/// campaign work starts.
-[[noreturn]] void usage_error(const std::string& what) {
-  std::fprintf(stderr,
-               "data_plane: %s\n"
-               "usage: data_plane [--richness R]... [--streaming-rows N]"
-               " [--streaming-budget-mib M]\n",
-               what.c_str());
-  std::exit(2);
-}
-
-/// The whole of `text` as a non-negative number of type T, or a usage
-/// error naming `option`.
-template <typename T>
-T parse_value(const std::string& option, const char* text) {
-  const std::string_view v = text;
-  T out{};
-  const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
-  if (ec != std::errc{} || end != v.data() + v.size() || !(out >= T{})) {
-    usage_error("bad " + option + " value '" + std::string(v) + "'");
-  }
-  return out;
-}
+const cli::Command kCommand{
+    "data_plane", "", 0, "time the window data plane's stages; print one JSON object",
+    {{"richness", cli::Kind::kReal, "R", "campaign richness, repeatable; 1 and 4 if absent", "",
+      0},
+     {"streaming-rows", cli::Kind::kInt, "N", "add the streaming leg over N rows", "0", 0},
+     {"streaming-budget-mib", cli::Kind::kInt, "M", "the streaming leg's page budget", "256",
+      0}}};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<double> richnesses;
-  std::size_t streaming_rows = 0;
-  std::size_t streaming_budget_mib = 256;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a != "--richness" && a != "--streaming-rows" && a != "--streaming-budget-mib") {
-      usage_error("unknown option " + a +
-                  " (accepted: --richness, --streaming-rows, --streaming-budget-mib)");
-    }
-    if (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
-      usage_error("option " + a + " needs a value");
-    }
-    const char* value = argv[++i];
-    if (a == "--richness") {
-      richnesses.push_back(parse_value<double>(a, value));
-    } else if (a == "--streaming-rows") {
-      streaming_rows = parse_value<std::size_t>(a, value);
-    } else {
-      streaming_budget_mib = parse_value<std::size_t>(a, value);
-    }
-  }
+  const cli::Args args = cli::parse_or_exit(kCommand, argc, argv);
+  std::vector<double> richnesses = args.all<double>("richness");
+  const auto streaming_rows = static_cast<std::size_t>(args.get<int>("streaming-rows"));
+  const auto streaming_budget_mib =
+      static_cast<std::size_t>(args.get<int>("streaming-budget-mib"));
   // A streaming-only invocation skips the campaign legs: peak RSS is a
   // whole-process number, so the fixed-footprint claim needs a clean slate.
   if (richnesses.empty() && streaming_rows == 0) richnesses = {1.0, 4.0};

@@ -11,25 +11,26 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <vector>
 
 #include "qif/core/datasets.hpp"
 #include "qif/core/training_server.hpp"
 #include "qif/ml/preprocess.hpp"
 
+#include "bench_common.hpp"
+#include "cli_options.hpp"
+
 using namespace qif;
 
+const cli::Command kCommand{
+    "extension_regression", "", 0, "degradation regression against binned classification",
+    {{"richness", cli::Kind::kReal, "R", "campaign richness", "2", 0}}};
+
 int main(int argc, char** argv) {
-  double richness = 2.0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--richness") == 0 && i + 1 < argc) {
-      richness = std::atof(argv[++i]);
-    }
-  }
+  const cli::Args args = cli::parse_or_exit(kCommand, argc, argv);
   std::printf("=== Extension: degradation regression vs. binned classification ===\n");
   core::DatasetOptions opts;
-  opts.richness = richness;
+  opts.richness = args.get<double>("richness");
   const monitor::Dataset ds = core::build_io500_dataset(opts);
   auto [train, test] = ml::split_dataset(ds, 0.2, 41);
   std::printf("windows: %zu train / %zu test\n\n", train.size(), test.size());
@@ -53,31 +54,12 @@ int main(int argc, char** argv) {
   kc.n_servers = ds.n_servers();
   kc.n_classes = 1;  // regression head
   ml::KernelNet reg(kc);
-  sim::Rng rng(43);
-  std::vector<std::size_t> idx(x.rows());
-  for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
-  std::int64_t t = 0;
-  const std::size_t batch = 64;
-  for (int epoch = 0; epoch < 60; ++epoch) {
-    for (std::size_t i = idx.size(); i > 1; --i) {
-      const auto j =
-          static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(i) - 1));
-      std::swap(idx[i - 1], idx[j]);
-    }
-    for (std::size_t lo = 0; lo < idx.size(); lo += batch) {
-      const std::size_t hi = std::min(idx.size(), lo + batch);
-      ml::Matrix xb(hi - lo, x.cols());
-      std::vector<double> tb(hi - lo);
-      for (std::size_t k = lo; k < hi; ++k) {
-        std::copy(x.row(idx[k]), x.row(idx[k]) + x.cols(), xb.row(k - lo));
-        tb[k - lo] = target[idx[k]];
-      }
-      const ml::Matrix pred = reg.forward(xb);
-      auto [loss, d] = ml::SquaredError::loss_and_grad(pred, tb);
-      reg.backward(d);
-      reg.step(ml::AdamParams{}, ++t);
-    }
-  }
+  bench::train_minibatches(reg, x, 60, 43,
+                           [&](const ml::Matrix& pred, const std::vector<std::size_t>& rows) {
+                             std::vector<double> tb;
+                             for (const std::size_t r : rows) tb.push_back(target[r]);
+                             return ml::SquaredError::loss_and_grad(pred, tb).second;
+                           });
 
   // (a) Regression quality: multiplicative error in x-factor space.
   const ml::Matrix pred = reg.forward_inference(xt);

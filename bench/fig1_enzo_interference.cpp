@@ -20,6 +20,8 @@
 #include "qif/sim/stats.hpp"
 #include "qif/trace/matcher.hpp"
 
+#include "bench_common.hpp"
+
 using namespace qif;
 
 namespace {
@@ -27,15 +29,7 @@ namespace {
 constexpr double kWindowSeconds = 50.0;  // the paper's analysis horizon
 
 core::ScenarioConfig enzo_config(std::uint64_t seed) {
-  core::ScenarioConfig cfg;
-  cfg.cluster = core::testbed_cluster_config(seed);
-  cfg.target.workload = "enzo";
-  cfg.target.nodes = {0, 1};
-  cfg.target.procs_per_node = 2;
-  cfg.target.seed = seed;
-  cfg.target.scale = 8.0;  // enough timesteps to fill 50 s
-  cfg.monitors = false;
-  return cfg;
+  return bench::solo_scenario("enzo", seed, 8.0);  // enough timesteps to fill 50 s
 }
 
 // Durations (ms) of the target's ops that *started* within the first 50 s

@@ -8,12 +8,14 @@
 // positive-class F1 above 0.9 on both datasets; IO500 skews positive
 // (~75%) and DLIO skews negative (~20% positive) as in the paper.
 #include <cstdio>
-#include <cstring>
 
 #include "qif/core/datasets.hpp"
 #include "qif/core/training_server.hpp"
 #include "qif/exec/parallel_runner.hpp"
 #include "qif/ml/preprocess.hpp"
+
+#include "bench_common.hpp"
+#include "cli_options.hpp"
 
 using namespace qif;
 
@@ -21,18 +23,9 @@ namespace {
 
 void run_dataset(const char* name, const monitor::Dataset& ds) {
   auto [train, test] = ml::split_dataset(ds, 0.2, /*seed=*/17);
-  const auto train_hist = train.class_histogram();
-  const auto test_hist = test.class_histogram();
   std::printf("\n=== %s ===\n", name);
-  std::printf("train: %zu samples (", train.size());
-  for (std::size_t c = 0; c < train_hist.size(); ++c) {
-    std::printf("%sclass%zu=%zu", c ? ", " : "", c, train_hist[c]);
-  }
-  std::printf(")  test: %zu samples (", test.size());
-  for (std::size_t c = 0; c < test_hist.size(); ++c) {
-    std::printf("%sclass%zu=%zu", c ? ", " : "", c, test_hist[c]);
-  }
-  std::printf(")\n");
+  std::printf("train: %zu samples (%s)  test: %zu samples (%s)\n", train.size(),
+              bench::class_counts(train).c_str(), test.size(), bench::class_counts(test).c_str());
 
   core::TrainingServerConfig cfg;
   cfg.n_classes = 2;
@@ -52,15 +45,15 @@ void run_dataset(const char* name, const monitor::Dataset& ds) {
 
 }  // namespace
 
+const cli::Command kCommand{
+    "fig3_binary_benchmarks", "", 0, "Figure 3: binary prediction on the IO500 and DLIO datasets",
+    {{"richness", cli::Kind::kReal, "R", "campaign richness", "3", 0},
+     {"jobs", cli::Kind::kInt, "N", "worker threads", "1", 1}}};
+
 int main(int argc, char** argv) {
-  double richness = 3.0;
-  int jobs = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--richness") == 0 && i + 1 < argc) {
-      richness = std::atof(argv[++i]);
-    }
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) jobs = std::atoi(argv[++i]);
-  }
+  const cli::Args args = cli::parse_or_exit(kCommand, argc, argv);
+  const double richness = args.get<double>("richness");
+  const int jobs = args.get<int>("jobs");
   std::printf("=== Figure 3: binary interference prediction on benchmark datasets ===\n");
   std::printf("(campaign richness %.1f, %d job(s); pass --richness N / --jobs N)\n",
               richness, jobs);

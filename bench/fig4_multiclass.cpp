@@ -8,24 +8,26 @@
 // Expected shape: a strong diagonal, with the best-represented class
 // slightly ahead in precision/recall.
 #include <cstdio>
-#include <cstring>
 
 #include "qif/core/datasets.hpp"
 #include "qif/core/training_server.hpp"
 #include "qif/exec/parallel_runner.hpp"
 #include "qif/ml/preprocess.hpp"
 
+#include "bench_common.hpp"
+#include "cli_options.hpp"
+
 using namespace qif;
 
+const cli::Command kCommand{
+    "fig4_multiclass", "", 0, "Figure 4: mild/moderate/severe prediction on IO500",
+    {{"richness", cli::Kind::kReal, "R", "campaign richness", "3", 0},
+     {"jobs", cli::Kind::kInt, "N", "worker threads", "1", 1}}};
+
 int main(int argc, char** argv) {
-  double richness = 3.0;
-  int jobs = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--richness") == 0 && i + 1 < argc) {
-      richness = std::atof(argv[++i]);
-    }
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) jobs = std::atoi(argv[++i]);
-  }
+  const cli::Args args = cli::parse_or_exit(kCommand, argc, argv);
+  const double richness = args.get<double>("richness");
+  const int jobs = args.get<int>("jobs");
   std::printf("=== Figure 4: multi-class (mild/moderate/severe) prediction on IO500 ===\n");
 
   core::DatasetOptions opts;
@@ -37,12 +39,8 @@ int main(int argc, char** argv) {
   const monitor::Dataset ds = core::build_io500_dataset(opts);
 
   auto [train, test] = ml::split_dataset(ds, 0.2, /*seed=*/19);
-  const auto hist = train.class_histogram();
-  std::printf("\ntrain: %zu samples (", train.size());
-  for (std::size_t c = 0; c < hist.size(); ++c) {
-    std::printf("%sclass%zu=%zu", c ? ", " : "", c, hist[c]);
-  }
-  std::printf(")  test: %zu samples\n", test.size());
+  std::printf("\ntrain: %zu samples (%s)  test: %zu samples\n", train.size(),
+              bench::class_counts(train).c_str(), test.size());
 
   core::TrainingServerConfig cfg;
   cfg.n_classes = 3;  // the paper's "minimal adjustment"

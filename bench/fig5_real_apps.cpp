@@ -14,15 +14,18 @@
 #include "qif/core/training_server.hpp"
 #include "qif/ml/preprocess.hpp"
 
+#include "bench_common.hpp"
+#include "cli_options.hpp"
+
 using namespace qif;
 
+const cli::Command kCommand{
+    "fig5_real_apps", "", 0, "Figure 5: binary prediction for AMReX, Enzo and OpenPMD",
+    {{"richness", cli::Kind::kReal, "R", "campaign richness", "3", 0}}};
+
 int main(int argc, char** argv) {
-  double richness = 3.0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--richness") == 0 && i + 1 < argc) {
-      richness = std::atof(argv[++i]);
-    }
-  }
+  const cli::Args args = cli::parse_or_exit(kCommand, argc, argv);
+  const double richness = args.get<double>("richness");
   std::printf("=== Figure 5: real-application interference prediction ===\n");
 
   for (const char* app : {"amrex", "enzo", "openpmd"}) {
@@ -35,12 +38,8 @@ int main(int argc, char** argv) {
     const monitor::Dataset ds = core::build_app_dataset(app, opts);
 
     auto [train, test] = ml::split_dataset(ds, 0.2, /*seed=*/23);
-    const auto hist = train.class_histogram();
-    std::printf("=== %s ===\ntrain: %zu samples (", app, train.size());
-    for (std::size_t c = 0; c < hist.size(); ++c) {
-      std::printf("%sclass%zu=%zu", c ? ", " : "", c, hist[c]);
-    }
-    std::printf(")  test: %zu samples\n", test.size());
+    std::printf("=== %s ===\ntrain: %zu samples (%s)  test: %zu samples\n", app, train.size(),
+                bench::class_counts(train).c_str(), test.size());
     if (train.empty() || test.empty()) {
       std::printf("not enough windows collected — skipping\n");
       continue;

@@ -10,7 +10,6 @@
 // range — the quantitative argument for *per-window* interference
 // prediction instead of uniform treatment.
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <string>
 
@@ -21,27 +20,25 @@
 #include "qif/trace/matcher.hpp"
 #include "qif/workloads/registry.hpp"
 
+#include "bench_common.hpp"
+#include "cli_options.hpp"
+
 using namespace qif;
 
+const cli::Command kCommand{
+    "phase_sweep", "", 0, "per-phase slowdown of io500-suite under one noise workload",
+    {{"noise", cli::Kind::kText, "W", "the background workload", "ior-easy-write"},
+     {"jobs", cli::Kind::kInt, "N", "worker threads", "1", 1}}};
+
 int main(int argc, char** argv) {
-  std::string noise = "ior-easy-write";
-  int jobs = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--noise") == 0 && i + 1 < argc) noise = argv[++i];
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) jobs = std::atoi(argv[++i]);
-  }
+  const cli::Args args = cli::parse_or_exit(kCommand, argc, argv);
+  const std::string noise = args.get("noise");
+  const int jobs = args.get<int>("jobs");
   std::printf("=== Phase sweep: one application, seven I/O phases, one noise ===\n");
   std::printf("(the io500-suite workload under %s; paper: 1.0x-40.9x spread)\n\n",
               noise.c_str());
 
-  core::ScenarioConfig cfg;
-  cfg.cluster = core::testbed_cluster_config(2);
-  cfg.target.workload = "io500-suite";
-  cfg.target.nodes = {0, 1};
-  cfg.target.procs_per_node = 2;
-  cfg.target.seed = 2;
-  cfg.target.scale = 0.5;
-  cfg.monitors = false;
+  core::ScenarioConfig cfg = bench::solo_scenario("io500-suite", 2, 0.5);
   cfg.horizon = 1200 * sim::kSecond;
 
   core::ScenarioConfig noisy_cfg = cfg;

@@ -18,7 +18,6 @@
 //   * mdt-hard-write (small data tails) crushed by ior write noise
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
@@ -27,6 +26,9 @@
 #include "qif/core/scenario.hpp"
 #include "qif/exec/thread_pool.hpp"
 #include "qif/workloads/registry.hpp"
+
+#include "bench_common.hpp"
+#include "cli_options.hpp"
 
 using namespace qif;
 
@@ -44,29 +46,22 @@ double task_scale(const std::string& task) {
 }
 
 core::ScenarioConfig make_config(const std::string& target, std::uint64_t seed) {
-  core::ScenarioConfig cfg;
-  cfg.cluster = core::testbed_cluster_config(seed);
-  cfg.target.workload = target;
-  cfg.target.nodes = {0, 1};
-  cfg.target.procs_per_node = 2;
-  cfg.target.seed = seed;
-  cfg.target.scale = task_scale(target);
-  cfg.monitors = false;  // Table I only needs completion times
+  core::ScenarioConfig cfg = bench::solo_scenario(target, seed, task_scale(target));
   cfg.horizon = 600 * sim::kSecond;
   return cfg;
 }
 
 }  // namespace
 
+const cli::Command kCommand{
+    "table1_io500_matrix", "", 0, "Table I: the IO500 cross-interference slowdown matrix",
+    {{"repeats", cli::Kind::kInt, "N", "runs averaged per cell", "1", 1},
+     {"jobs", cli::Kind::kInt, "N", "worker threads", "1", 1}}};
+
 int main(int argc, char** argv) {
-  int repeats = 1;
-  int jobs = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--repeats") == 0 && i + 1 < argc) repeats = std::atoi(argv[++i]);
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) jobs = std::atoi(argv[++i]);
-  }
-  if (repeats < 1) repeats = 1;
-  if (jobs < 1) jobs = 1;
+  const cli::Args args = cli::parse_or_exit(kCommand, argc, argv);
+  const int repeats = args.get<int>("repeats");
+  const int jobs = args.get<int>("jobs");
 
   const auto& tasks = workloads::io500_tasks();
   const std::size_t n_tasks = tasks.size();

@@ -10,10 +10,10 @@
 # hostile bytes can never turn into a silent out-of-bounds read (the same
 # leg fuzzes the .qifm model parser and the trainer's width checks, runs
 # the scenario tests with LeakSanitizer on, and runs the event engine,
-# extent-map, GEMM and network tests), and an
+# extent-map, GEMM, network and command-line parser tests), and an
 # UndefinedBehaviorSanitizer leg over the trace-storage (record layout and
-# allocation counts included), fault-path, event-engine, extent-map, GEMM
-# and network tests.
+# allocation counts included), fault-path, event-engine, extent-map, GEMM,
+# network and command-line parser tests.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -90,7 +90,7 @@ cmake --build build-asan -j --target test_qds_fuzz test_export test_streaming \
   test_ml_gemm test_ml_nn test_ml_kernelnet test_ml_attention \
   test_sim_golden test_core test_sim_lanes test_pfs_client test_pfs_faults \
   test_campaign_mitigate test_sim_simulation test_sim_property test_sim_links \
-  test_pfs_read_cache test_pfs_writeback
+  test_pfs_read_cache test_pfs_writeback test_options
 ./build-asan/tests/test_qds_fuzz
 ./build-asan/tests/test_export
 ./build-asan/tests/test_streaming
@@ -127,6 +127,8 @@ ASAN_OPTIONS=detect_leaks=1 ./build-asan/tests/test_campaign_mitigate
 ./build-asan/tests/test_sim_links
 ./build-asan/tests/test_pfs_read_cache
 ./build-asan/tests/test_pfs_writeback
+# Command-line parser: every word of argv is outside input.
+./build-asan/tests/test_options
 
 echo "=== tier-1: trace storage, fault paths, event engine, extent maps and GEMM under UBSan ==="
 # The trace log's fixed blocks and the records' 16-bit target lists (whose
@@ -142,7 +144,7 @@ cmake -B build-ubsan -S . -DQIF_SANITIZE=undefined
 cmake --build build-ubsan -j --target test_trace test_trace_alloc test_export test_replay \
   test_monitor test_pfs_client test_pfs_faults test_sim_golden test_sim_simulation \
   test_pfs_read_cache test_pfs_writeback test_ml_gemm test_ml_nn test_ml_kernelnet \
-  test_ml_attention
+  test_ml_attention test_options
 ./build-ubsan/tests/test_trace
 ./build-ubsan/tests/test_trace_alloc
 ./build-ubsan/tests/test_export
@@ -158,5 +160,6 @@ cmake --build build-ubsan -j --target test_trace test_trace_alloc test_export te
 ./build-ubsan/tests/test_ml_nn
 ./build-ubsan/tests/test_ml_kernelnet
 ./build-ubsan/tests/test_ml_attention
+./build-ubsan/tests/test_options
 
 echo "tier-1 OK"

@@ -1,8 +1,9 @@
 # Drives the qif CLI through a full campaign -> train -> eval -> publish ->
-# serve round trip, then checks that bad output paths, partial writes,
-# malformed numeric options and mismatched models fail with exit 1 and an
-# error naming the culprit, and that options a verb does not take fail
-# with exit 2 and the nearest accepted name.
+# serve round trip, then checks that bad output paths, partial writes and
+# mismatched models fail with exit 1 and an error naming the culprit, and
+# that command lines the command table refuses (options a verb does not
+# take, malformed or too-small numbers, missing required options or
+# positionals) fail with exit 2 naming the fault.
 file(MAKE_DIRECTORY ${WORK_DIR})
 function(run)
   execute_process(COMMAND ${ARGV} WORKING_DIRECTORY ${WORK_DIR}
@@ -71,10 +72,6 @@ if(EXISTS /dev/full)
   run_fail_matching("/dev/full" ${QIF_CLI} train --data data.csv --out /dev/full --epochs 1)
   run_fail_matching("/dev/full" ${QIF_CLI} dump-trace openpmd --scale 0.5 --out /dev/full)
 endif()
-# Numeric option values parse in full.
-run_fail_matching("--jobs.*two"
-  ${QIF_CLI} train --data data.csv --out bad.qifm --jobs two)
-run_fail_matching("--richness.*abc" ${QIF_CLI} campaign amrex --richness abc --out bad.csv)
 # A file that is not a model reports its path.
 run_fail_matching("data.csv" ${QIF_CLI} eval --data data.csv --model data.csv)
 # A model trained on fault features (7 x 40) refuses a healthy dataset
@@ -120,3 +117,40 @@ run_usage_error("--sync" ${QIF_CLI} serve verify --sync)
 # has no value.
 run_usage_error("--faults needs a value" ${QIF_CLI} run ior-easy-write --faults)
 run_usage_error("--out needs a value" ${QIF_CLI} dump-trace openpmd --out --scale 0.5)
+# Numeric option values parse in full.
+run_usage_error("--jobs.*two" ${QIF_CLI} train --data data.csv --out bad.qifm --jobs two)
+run_usage_error("--richness.*abc" ${QIF_CLI} campaign amrex --richness abc --out bad.csv)
+# A value below the option's declared minimum is refused, not clamped.
+run_usage_error("bad --producers value '0'" ${QIF_CLI} serve bench --producers 0 --sync --requests 10)
+run_usage_error("bad --rows-per-shard value '0'"
+  ${QIF_CLI} dataset shard data.csv bad_shards --rows-per-shard 0)
+run_usage_error("bad --ranks value '0'" ${QIF_CLI} workloads export ior-easy-write --ranks 0)
+# A negative noise count is refused before it reaches the simulator.
+run_usage_error("bad --instances value '-2'"
+  ${QIF_CLI} run ior-easy-write --noise ior-easy-read --instances -2)
+# A sub-command takes only its own options.
+run_usage_error("--out.*`qif workloads list`" ${QIF_CLI} workloads list --out zzz.qwp)
+run_usage_error("--rows.*`qif dataset info`" ${QIF_CLI} dataset info data.csv --rows 5)
+if(EXISTS ${WORK_DIR}/zzz.qwp)
+  message(FATAL_ERROR "workloads list --out wrote a file")
+endif()
+# Required options and positionals come from the command table.
+run_usage_error("missing required option --out" ${QIF_CLI} campaign amrex)
+run_usage_error("`qif run` takes <target>" ${QIF_CLI} run)
+# `qif` alone prints every command.
+execute_process(COMMAND ${QIF_CLI} RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "expected exit 2 from bare qif, got ${rc}")
+endif()
+foreach(cmd "workloads" "workloads list" "workloads export" "workloads lint" "run" "campaign"
+            "train" "eval" "dataset info" "dataset head" "dataset convert" "dataset shard"
+            "dataset merge" "dump-trace" "serve bench" "serve verify" "serve publish"
+            "serve versions")
+  if(NOT "${err}" MATCHES "usage: qif ${cmd}")
+    message(FATAL_ERROR "bare qif does not list `qif ${cmd}`:\n${err}")
+  endif()
+endforeach()
+# ... and each option with its help line, default and minimum.
+if(NOT "${err}" MATCHES "--producers N +producer threads \\(default 4, at least 1\\)")
+  message(FATAL_ERROR "bare qif does not describe --producers:\n${err}")
+endif()

@@ -1,116 +1,36 @@
-// qif — command-line front end for the framework.
+// qif — command-line front end for the framework: campaign -> train ->
+// eval -> serve.  The command table at the end of this file is the only
+// declaration of the commands and their options; `qif` alone prints it.
 //
-//   qif workloads [list]
-//   qif workloads export <name> [--ranks N] [--seed K] [--scale S] [--out F.qwp]
-//   qif workloads lint <file.qwp>
-//       List the canonical workload names (`list` adds the parameterized
-//       forms: trace:FILE, ckpt:SIZE,BW,MTTI, qwp:FILE).  `export`
-//       serializes a named workload's per-rank programs as a checksummed
-//       .qwp file; `lint` parses one and reports its shape.  Workload
-//       names anywhere on the CLI accept the parameterized forms too, so
-//       a dumped trace replays as a target or as interference:
-//         qif run trace:run.dxt --replay-timing original
+// Formats: a dataset is written by its extension (.qds native binary,
+// anything else interop CSV) and sniffed on read (.qds / .qdm magic vs
+// CSV); a .qdm manifest names <prefix>.NNN.qds shards, and single .qds
+// files are memory-mapped.  .qifm is the only model file.  dump-trace
+// writes a DXT-style text trace; a .qwp is a checksummed per-rank
+// workload program.
 //
-//   qif run <target> [--noise W] [--instances N] [--scale S] [--seed K]
-//           [--faults SPEC] [--lanes N] [--topology CxSxT]
-//           [--replay-timing original|asap|scale=X]
-//       Run one scenario (solo, or under N looping copies of W) and print
-//       completion time plus the per-op-type latency breakdown.  --faults
-//       injects a fault plan (e.g. "slow:ost=0,start=2,dur=10,factor=4")
-//       into every run and reports retry/timeout/failure counts.
-//       --topology replaces the 7x3x2 testbed shape with CLIENTS x OSS x
-//       OSTS_PER_OSS (e.g. 1008x16x8 for a 128-OST cluster).  --lanes N
-//       partitions the cluster into N per-OSS-group event lanes plus a
-//       metadata lane (see DESIGN.md "Parallel event lanes"); the printed
-//       trace fingerprint is bit-identical for every N >= 1, which is how
-//       scripts assert the partitioning changed nothing.  N must be at
-//       least 1 and at most the OSS count.
+// Determinism: campaign and train write the same bytes for every --jobs
+// count, and run/dump-trace print the same trace fingerprint for every
+// --lanes count.  campaign --stream-out exits 1 unless its shards merge
+// back byte-identically to the in-RAM dataset.
 //
-//   qif campaign <io500|dlio|amrex|enzo|openpmd|custom> [--richness R]
-//                [--workload W]
-//                [--bins 2|2,5] [--seed K] [--jobs N] [--faults SPEC]
-//                [--compress] [--stream-out DIR] --out data.{csv,qds}
-//       Build a labelled training dataset; the --out extension picks the
-//       format (.qds = native binary, anything else = interop CSV).
-//       --jobs N fans the campaign's scenario simulations across N worker
-//       threads (output is bit-identical to --jobs 1).  The `custom`
-//       family labels an arbitrary --workload W (any registry name,
-//       including trace:/ckpt:/qwp: forms) against the standard
-//       interference sweep.  --compress writes
-//       the .qds column blocks LZ-compressed.  --stream-out DIR
-//       additionally streams every case's windows to DIR/<family>.NNN.qds
-//       the moment the case (and its ordered predecessors) finish, seals a
-//       DIR/<family>.qdm manifest, and verifies the shards merge back
-//       byte-identically to the in-RAM dataset.
-//
-//   qif train --data data.{csv,qds,qdm} --out model.qifm [--classes C]
-//             [--epochs E] [--jobs N] [--memory-budget MB]
-//       Train the kernel-based model on a dataset (80/20 split) and save
-//       it as a .qifm model file; prints the held-out confusion matrix.
-//       --jobs N partitions the training GEMMs across N worker threads
-//       (the .qifm is byte-identical to --jobs 1).  A .qdm manifest
-//       streams its shards through the chunked ingestion path (same model
-//       bytes as in-RAM); --memory-budget caps resident shard pages in MiB.
-//
-//   qif eval --data data.{csv,qds,qdm} --model model.qifm
-//       Evaluate a saved model on a dataset.
-//
-//   qif dataset info <file>
-//   qif dataset head <file> [--rows N]
-//   qif dataset convert <in> <out> [--compress]
-//       Inspect or convert dataset files; formats are sniffed on read
-//       (.qds / .qdm magic vs CSV) and picked by extension on write.
-//       Single .qds files are memory-mapped (zero-copy for uncompressed
-//       version-2 images).
-//
-//   qif dataset shard <in> <out-prefix> [--rows-per-shard R | --shards N]
-//                     [--compress]
-//   qif dataset merge <in.qdm> <out>
-//       Split a dataset into <prefix>.NNN.qds shards behind a
-//       <prefix>.qdm manifest (deterministic row order), or stitch a
-//       manifest back into one file.  shard -> merge round-trips the
-//       dataset exactly.
-//
-//   qif dump-trace <target> [--scale S] [--seed K] [--lanes N]
-//                  [--topology CxSxT] --out trace.txt
-//       Run the target solo and dump its DXT-style op trace.
-//
-//   qif serve bench [--model F | --model-dir D] [--producers N] [--requests R]
-//                   [--max-batch B] [--max-delay-us U] [--ring CAP]
-//                   [--inflight W] [--sync] [--swap-every-ms M]
-//   qif serve verify [--model F | --model-dir D] [--requests R] [--producers N]
-//                    [--max-batch B]
-//   qif serve publish --model F --model-dir D
-//   qif serve versions --model-dir D
-//       Online-inference service front end.  `bench` floods the service
-//       with N closed-loop producers (W in-flight requests each) and
-//       reports predictions/sec plus p50/p99/p999 queue->reply latency;
-//       --sync measures the single-row synchronous baseline instead, and
-//       --swap-every-ms hot-swaps the model under load.  `verify` replays
-//       every batched prediction through the N=1 sync path and asserts
-//       bit-identical outputs (the batching-changes-nothing contract).
-//       `publish` copies a .qifm model (qif train output) into the
-//       registry as v<N+1>.qifm.  Without a model a synthetic bundle is
-//       generated (--arch kernel|attention, --classes C, --seed K) so
-//       smoke runs need no training step.
-//
-// Every verb accepts only its own options (verb_options below); an unknown
-// option, or a value option with no value, exits 2 naming it.
+// The closed loop: workload names anywhere accept trace:FILE,
+// ckpt:SIZE,BW,MTTI and qwp:FILE, so a dumped trace replays as a target
+// or as noise (`qif run trace:enzo.dxt`).
 #include <algorithm>
-#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <deque>
 #include <filesystem>
 #include <fstream>
+#include <iostream>
 #include <map>
 #include <numeric>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -129,180 +49,12 @@
 #include "qif/workloads/program_io.hpp"
 #include "qif/workloads/registry.hpp"
 
+#include "cli_options.hpp"
+
 using namespace qif;
+using cli::Args;
 
 namespace {
-
-struct Args {
-  std::vector<std::string> positional;
-  std::map<std::string, std::string> options;
-
-  [[nodiscard]] std::string get(const std::string& key, const std::string& dflt) const {
-    auto it = options.find(key);
-    return it == options.end() ? dflt : it->second;
-  }
-  [[nodiscard]] double get_double(const std::string& key, double dflt) const {
-    return get_number(key, dflt);
-  }
-  [[nodiscard]] int get_int(const std::string& key, int dflt) const {
-    return get_number(key, dflt);
-  }
-
- private:
-  /// The whole value must parse: `--jobs two` is an error, not 0.
-  template <class T>
-  [[nodiscard]] T get_number(const std::string& key, T dflt) const {
-    auto it = options.find(key);
-    if (it == options.end()) return dflt;
-    const std::string& v = it->second;
-    T out{};
-    const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
-    if (ec != std::errc() || end != v.data() + v.size()) {
-      throw std::runtime_error("bad --" + key + " value '" + v + "': not a number");
-    }
-    return out;
-  }
-};
-
-/// One option a verb accepts; a flag takes no value (presence == true).
-struct OptionSpec {
-  std::string_view name;
-  bool flag = false;
-};
-
-/// The options each verb accepts, keyed by the verb as typed; the `serve`
-/// sub-commands are verbs of their own.
-const std::map<std::string, std::vector<OptionSpec>>& verb_options() {
-  static const std::map<std::string, std::vector<OptionSpec>> table = {
-      {"workloads", {{"ranks"}, {"seed"}, {"scale"}, {"out"}}},
-      {"run",
-       {{"noise"}, {"instances"}, {"scale"}, {"seed"}, {"faults"}, {"lanes"},
-        {"topology"}, {"mitigate"}, {"replay-timing"}}},
-      {"campaign",
-       {{"richness"}, {"workload"}, {"bins"}, {"seed"}, {"jobs"}, {"faults"},
-        {"mitigate"}, {"compress", true}, {"stream-out"}, {"out"}, {"replay-timing"}}},
-      {"train", {{"data"}, {"out"}, {"classes"}, {"epochs"}, {"jobs"}, {"memory-budget"}}},
-      {"eval", {{"data"}, {"model"}}},
-      {"dataset", {{"rows"}, {"rows-per-shard"}, {"shards"}, {"compress", true}}},
-      {"dump-trace",
-       {{"scale"}, {"seed"}, {"lanes"}, {"topology"}, {"out"}, {"replay-timing"}}},
-      {"serve bench",
-       {{"model"}, {"model-dir"}, {"arch"}, {"classes"}, {"seed"}, {"producers"},
-        {"requests"}, {"max-batch"}, {"max-delay-us"}, {"ring"}, {"inflight"},
-        {"sync", true}, {"swap-every-ms"}}},
-      {"serve verify",
-       {{"model"}, {"model-dir"}, {"arch"}, {"classes"}, {"seed"}, {"producers"},
-        {"requests"}, {"max-batch"}, {"max-delay-us"}}},
-      {"serve publish", {{"model"}, {"model-dir"}}},
-      {"serve versions", {{"model-dir"}}},
-  };
-  return table;
-}
-
-/// A command line that names an option its verb does not take, or leaves
-/// a value option without its value; main() exits 2 on it.
-struct UsageError : std::runtime_error {
-  using std::runtime_error::runtime_error;
-};
-
-/// Levenshtein distance, to suggest the accepted option nearest a typo.
-std::size_t edit_distance(std::string_view a, std::string_view b) {
-  std::vector<std::size_t> row(b.size() + 1);
-  std::iota(row.begin(), row.end(), std::size_t{0});
-  for (std::size_t i = 1; i <= a.size(); ++i) {
-    std::size_t diag = row[0];
-    row[0] = i;
-    for (std::size_t j = 1; j <= b.size(); ++j) {
-      const std::size_t up = row[j];
-      row[j] = std::min({up + 1, row[j - 1] + 1, diag + (a[i - 1] == b[j - 1] ? 0 : 1)});
-      diag = up;
-    }
-  }
-  return row[b.size()];
-}
-
-/// Splits argv[2..] into positionals and the options `verb` accepts.
-Args parse(const std::string& verb, const std::vector<OptionSpec>& accepted, int argc,
-           char** argv) {
-  Args args;
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.rfind("--", 0) != 0) {
-      args.positional.push_back(a);
-      continue;
-    }
-    const std::string name = a.substr(2);
-    const auto spec = std::find_if(accepted.begin(), accepted.end(),
-                                   [&](const OptionSpec& o) { return o.name == name; });
-    if (spec == accepted.end()) {
-      const auto nearest = std::min_element(
-          accepted.begin(), accepted.end(), [&](const OptionSpec& x, const OptionSpec& y) {
-            return edit_distance(name, x.name) < edit_distance(name, y.name);
-          });
-      throw UsageError("unknown option " + a + " for `qif " + verb + "` (did you mean --" +
-                       std::string(nearest->name) + "?)");
-    }
-    if (spec->flag) {
-      args.options[name] = "1";
-    } else if (i + 1 < argc && std::string_view(argv[i + 1]).rfind("--", 0) != 0) {
-      args.options[name] = argv[++i];
-    } else {
-      throw UsageError("option " + a + " needs a value");
-    }
-  }
-  return args;
-}
-
-int usage() {
-  std::fprintf(stderr,
-               "usage: qif <command> [options]\n"
-               "  workloads [list]                   list workload names (+ param forms)\n"
-               "  workloads export <name> [--ranks N] [--seed K] [--scale S]"
-               " [--out F.qwp]\n"
-               "  workloads lint <file.qwp>          parse + summarize a .qwp program\n"
-               "  run <target> [--noise W] [--instances N] [--scale S] [--seed K]"
-               " [--faults SPEC]\n"
-               "      [--lanes N] [--topology CxSxT] [--mitigate POLICY]"
-               " [--replay-timing original|asap|scale=X]\n"
-               "        <target>/<W> accept trace:FILE, ckpt:SIZE,BW,MTTI and"
-               " qwp:FILE forms\n"
-               "        --lanes N        run on N parallel event lanes (1 <= N <= OSS"
-               " count;\n"
-               "                         trace fingerprint is identical for every N)\n"
-               "        --topology CxSxT CLIENTS x OSS x OSTS_PER_OSS cluster shape\n"
-               "                         (default 7x3x2 testbed; e.g. 1008x16x8)\n"
-               "        --mitigate POLICY closed-loop mitigation: off |"
-               " token[:k=v,...] | probe[:k=v,...]\n"
-               "                         (token: rate/burst MiB, cut, flag ns-per-byte;"
-               " probe: init/min/max/step,tol;\n"
-               "                         common: epoch seconds, scope=noise|all)\n"
-               "  campaign <family> [--richness R] [--bins 2|2,5] [--seed K] [--jobs N]"
-               " [--faults SPEC] [--mitigate POLICY]\n"
-               "      [--compress] [--stream-out DIR] --out F.{csv,qds}\n"
-               "      family `custom` labels any --workload W (trace:/ckpt:/qwp: too)\n"
-               "      --mitigate P runs on-vs-off twins over the same seeds and prints"
-               " the comparison\n"
-               "  train --data F.{csv,qds,qdm} --out model.qifm [--classes C] [--epochs E]"
-               " [--jobs N] [--memory-budget MB]\n"
-               "  eval --data F.{csv,qds,qdm} --model model.qifm\n"
-               "  dataset info|head|convert <file> [out] [--rows N] [--compress]\n"
-               "  dataset shard <in> <out-prefix> [--rows-per-shard R | --shards N]"
-               " [--compress]\n"
-               "  dataset merge <in.qdm> <out>\n"
-               "  dump-trace <target> [--scale S] [--seed K] [--lanes N]"
-               " [--topology CxSxT] --out F.txt\n"
-               "      (a dump replays via `run trace:F.txt` — the closed loop)\n"
-               "  serve bench [--model F | --model-dir D] [--producers N]"
-               " [--requests R]\n"
-               "      [--max-batch B] [--max-delay-us U] [--ring CAP] [--inflight W]"
-               " [--sync]\n"
-               "      [--swap-every-ms M]\n"
-               "  serve verify [--model F | --model-dir D] [--requests R]"
-               " [--producers N] [--max-batch B]\n"
-               "  serve publish --model F --model-dir D\n"
-               "  serve versions --model-dir D\n");
-  return 2;
-}
 
 /// Opens `path` for reading and returns `read(stream)`; any failure is
 /// rethrown naming the path.
@@ -348,21 +100,13 @@ bool sniff_magic(const std::string& path, bool (*pred)(const char*, std::size_t)
   return pred(magic, static_cast<std::size_t>(in.gcount()));
 }
 
-bool is_manifest_file(const std::string& path) {
-  return sniff_magic(path, monitor::is_qdm_magic);
-}
-
-bool is_qds_file(const std::string& path) {
-  return sniff_magic(path, monitor::is_qds_magic);
-}
-
 bool has_qds_extension(const std::string& path) {
   return path.size() >= 4 && path.compare(path.size() - 4, 4, ".qds") == 0;
 }
 
 monitor::QdsWriteOptions qds_options(const Args& args) {
   monitor::QdsWriteOptions opts;
-  if (args.options.count("compress") != 0) opts.codec = monitor::QdsCodec::kQlz;
+  if (args.has("compress")) opts.codec = monitor::QdsCodec::kQlz;
   return opts;
 }
 
@@ -380,78 +124,75 @@ void save_dataset(const std::string& path, const monitor::Dataset& ds,
 
 /// Loads any dataset source into an owned table: a .qdm manifest is
 /// stitched from its shards, everything else goes through the sniffing
-/// reader.  (The mmap fast path is used where the rows are consumed in
-/// place — info/train/eval — not here, where a copy is the product.)
+/// reader.  (Where the rows are consumed in place, with_rows reads them.)
 monitor::Dataset materialize_any(const std::string& path) {
-  if (is_manifest_file(path)) {
+  if (sniff_magic(path, monitor::is_qdm_magic)) {
     return monitor::ShardedDataset::open(path).materialize();
   }
   return load_dataset(path);
 }
 
-int cmd_workloads(const Args& args) {
-  if (args.positional.empty() || args.positional[0] == "list") {
-    for (const auto& w : workloads::known_workloads()) std::printf("%s\n", w.c_str());
-    if (!args.positional.empty()) {
-      // Explicit `list` also shows the parameterized families.
-      for (const auto& [prefix, help] : workloads::known_workload_prefixes()) {
-        std::printf("%s:%s\n", prefix.c_str(), help.c_str());
-      }
-    }
-    return 0;
+/// Whether `name` is a workload; if not, says why on stderr.
+bool known_workload(const std::string& name) {
+  if (workloads::is_known_workload(name)) return true;
+  std::fprintf(stderr, "%s\n", workloads::workload_name_error(name).c_str());
+  return false;
+}
+
+int cmd_workloads(const Args&) {
+  for (const auto& w : workloads::known_workloads()) std::printf("%s\n", w.c_str());
+  return 0;
+}
+
+int cmd_workloads_list(const Args& args) {
+  cmd_workloads(args);
+  for (const auto& [prefix, help] : workloads::known_workload_prefixes()) {
+    std::printf("%s:%s\n", prefix.c_str(), help.c_str());
   }
-  const std::string& verb = args.positional[0];
-  if (verb == "export") {
-    if (args.positional.size() < 2) return usage();
-    const std::string& name = args.positional[1];
-    if (!workloads::is_known_workload(name)) {
-      std::fprintf(stderr, "%s\n", workloads::workload_name_error(name).c_str());
-      return 1;
-    }
-    const int n_ranks = std::max(args.get_int("ranks", 4), 1);
-    const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-    const double scale = args.get_double("scale", 1.0);
-    workloads::WorkloadProgram prog;
-    prog.workload = name;
-    for (int r = 0; r < n_ranks; ++r) {
-      prog.ranks.push_back(
-          workloads::build_named_program(name, r, n_ranks, 0, seed, scale));
-    }
-    const std::string out_path = args.get("out", "");
-    if (out_path.empty()) {
-      std::ostringstream os;
-      workloads::write_qwp(os, prog);
-      std::printf("%s", os.str().c_str());
-    } else {
-      write_file(out_path, [&](std::ostream& out) { workloads::write_qwp(out, prog); });
-      std::printf("wrote %d-rank program for '%s' to %s\n", n_ranks, name.c_str(),
-                  out_path.c_str());
-    }
-    return 0;
+  return 0;
+}
+
+int cmd_workloads_export(const Args& args) {
+  const std::string& name = args.positional[0];
+  if (!known_workload(name)) return 1;
+  const int n_ranks = args.get<int>("ranks");
+  const auto seed = static_cast<std::uint64_t>(args.get<int>("seed"));
+  const double scale = args.get<double>("scale");
+  workloads::WorkloadProgram prog;
+  prog.workload = name;
+  for (int r = 0; r < n_ranks; ++r) {
+    prog.ranks.push_back(
+        workloads::build_named_program(name, r, n_ranks, 0, seed, scale));
   }
-  if (verb == "lint") {
-    if (args.positional.size() < 2) return usage();
-    const workloads::WorkloadProgram prog = workloads::read_qwp_file(args.positional[1]);
-    std::size_t prologue_ops = 0;
-    std::size_t body_ops = 0;
-    for (const auto& r : prog.ranks) {
-      prologue_ops += r.prologue.size();
-      body_ops += r.body.size();
-    }
-    std::printf("%s: ok (workload '%s', %zu rank(s), %zu prologue + %zu body ops)\n",
-                args.positional[1].c_str(), prog.workload.c_str(), prog.ranks.size(),
-                prologue_ops, body_ops);
-    return 0;
+  const std::string out_path = args.get("out");
+  if (out_path.empty()) {
+    workloads::write_qwp(std::cout, prog);
+  } else {
+    write_file(out_path, [&](std::ostream& out) { workloads::write_qwp(out, prog); });
+    std::printf("wrote %d-rank program for '%s' to %s\n", n_ranks, name.c_str(),
+                out_path.c_str());
   }
-  std::fprintf(stderr, "unknown workloads verb: %s (expected list, export or lint)\n",
-               verb.c_str());
-  return usage();
+  return 0;
+}
+
+int cmd_workloads_lint(const Args& args) {
+  const workloads::WorkloadProgram prog = workloads::read_qwp_file(args.positional[0]);
+  std::size_t prologue_ops = 0;
+  std::size_t body_ops = 0;
+  for (const auto& r : prog.ranks) {
+    prologue_ops += r.prologue.size();
+    body_ops += r.body.size();
+  }
+  std::printf("%s: ok (workload '%s', %zu rank(s), %zu prologue + %zu body ops)\n",
+              args.positional[0].c_str(), prog.workload.c_str(), prog.ranks.size(),
+              prologue_ops, body_ops);
+  return 0;
 }
 
 /// Applies `--replay-timing {original,asap,scale=X}` to a `trace:` workload
 /// name that does not already carry an explicit `@policy` suffix.
 std::string with_replay_timing(std::string name, const Args& args) {
-  const std::string timing = args.get("replay-timing", "");
+  const std::string timing = args.get("replay-timing");
   if (timing.empty() || name.rfind("trace:", 0) != 0) return name;
   if (name.find('@', 6) != std::string::npos) return name;  // explicit suffix wins
   return name + "@" + timing;
@@ -467,16 +208,16 @@ std::string with_replay_timing(std::string name, const Args& args) {
 /// cluster layer (each data lane must own an OSS port); its message
 /// reaches the user through the main() error path.
 core::ScenarioConfig target_scenario(const std::string& target, const Args& args) {
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  const auto seed = static_cast<std::uint64_t>(args.get<int>("seed"));
   core::ScenarioConfig cfg;
   cfg.cluster = core::testbed_cluster_config(seed);
   cfg.target.workload = target;
   cfg.target.nodes = {0, 1};
   cfg.target.procs_per_node = 2;
   cfg.target.seed = seed;
-  cfg.target.scale = args.get_double("scale", 1.0);
+  cfg.target.scale = args.get<double>("scale");
   cfg.monitors = false;
-  const std::string topo = args.get("topology", "");
+  const std::string topo = args.get("topology");
   if (!topo.empty()) {
     int clients = 0;
     int oss = 0;
@@ -492,11 +233,11 @@ core::ScenarioConfig target_scenario(const std::string& target, const Args& args
     cfg.cluster.n_oss = oss;
     cfg.cluster.osts_per_oss = osts;
   }
-  if (args.options.count("lanes") != 0) {
-    const int lanes = args.get_int("lanes", 0);
+  if (args.has("lanes")) {
+    const int lanes = args.get<int>("lanes");
     if (lanes < 1) {
       throw std::runtime_error(
-          "--lanes " + args.get("lanes", "") +
+          "--lanes " + args.get("lanes") +
           ": need at least 1 data lane (omit --lanes for the classic single engine)");
     }
     cfg.lanes = lanes;
@@ -519,16 +260,12 @@ void print_fault_summary(const char* tag, const trace::TraceLog& trace) {
 }
 
 int cmd_run(const Args& args) {
-  if (args.positional.empty()) return usage();
   const std::string target = with_replay_timing(args.positional[0], args);
-  if (!workloads::is_known_workload(target)) {
-    std::fprintf(stderr, "%s\n", workloads::workload_name_error(target).c_str());
-    return 1;
-  }
+  if (!known_workload(target)) return 1;
   core::ScenarioConfig cfg = target_scenario(target, args);
-  const std::string faults_spec = args.get("faults", "");
+  const std::string faults_spec = args.get("faults");
   if (!faults_spec.empty()) cfg.faults = pfs::faults::parse_fault_plan(faults_spec);
-  cfg.mitigation = ctrl::parse_mitigation(args.get("mitigate", ""));
+  cfg.mitigation = ctrl::parse_mitigation(args.get("mitigate"));
 
   const auto solo = core::run_scenario(cfg);
   std::printf("solo: %.2f s timed phase (%.2f s total, %llu events)\n",
@@ -541,19 +278,16 @@ int cmd_run(const Args& args) {
               static_cast<unsigned long long>(trace::trace_fingerprint(solo.trace)));
   if (!cfg.faults.empty()) print_fault_summary("solo", solo.trace);
 
-  const std::string noise = with_replay_timing(args.get("noise", ""), args);
+  const std::string noise = with_replay_timing(args.get("noise"), args);
   if (noise.empty()) return 0;
-  if (!workloads::is_known_workload(noise)) {
-    std::fprintf(stderr, "%s\n", workloads::workload_name_error(noise).c_str());
-    return 1;
-  }
+  if (!known_workload(noise)) return 1;
   core::InterferenceSpec spec;
   spec.workload = noise;
   // Every node the target does not occupy hosts interference ({2..6} on
   // the default testbed shape).
   spec.nodes.clear();
   for (pfs::NodeId n = 2; n < cfg.cluster.n_client_nodes; ++n) spec.nodes.push_back(n);
-  spec.instances = args.get_int("instances", 15);
+  spec.instances = args.get<int>("instances");
   spec.seed = 77;
   cfg.interference = spec;
   const auto mixed = core::run_scenario(cfg);
@@ -596,21 +330,20 @@ int cmd_run(const Args& args) {
 }
 
 int cmd_campaign(const Args& args) {
-  if (args.positional.empty() || args.options.count("out") == 0) return usage();
   const std::string family = args.positional[0];
   core::DatasetOptions opts;
-  opts.richness = args.get_double("richness", 1.0);
-  opts.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+  opts.richness = args.get<double>("richness");
+  opts.seed = static_cast<std::uint64_t>(args.get<int>("seed"));
   opts.verbose = true;
-  const std::string bins = args.get("bins", "2");
+  const std::string bins = args.get("bins");
   if (bins == "2,5") {
     opts.bin_thresholds = {2.0, 5.0};
   } else if (bins != "2") {
     throw std::runtime_error("bad --bins '" + bins + "': expected 2 or 2,5");
   }
-  const int jobs = args.get_int("jobs", 1);
+  const int jobs = args.get<int>("jobs");
   opts.runner = exec::campaign_runner(jobs);
-  const std::string faults_spec = args.get("faults", "");
+  const std::string faults_spec = args.get("faults");
   if (!faults_spec.empty()) opts.faults = pfs::faults::parse_fault_plan(faults_spec);
 
   // --stream-out: route every campaign through the parallel runner's
@@ -618,7 +351,7 @@ int cmd_campaign(const Args& args) {
   // the case (and its declaration-order predecessors) complete.  Campaigns
   // run one after another and the sink is serialized, so the single writer
   // sees chunks in exactly the stitched dataset's row order.
-  const std::string stream_dir = args.get("stream-out", "");
+  const std::string stream_dir = args.get("stream-out");
   std::optional<monitor::ShardStreamWriter> stream;
   if (!stream_dir.empty()) {
     std::filesystem::create_directories(stream_dir);
@@ -633,15 +366,12 @@ int cmd_campaign(const Args& args) {
 
   std::string custom_workload;
   if (family == "custom") {
-    custom_workload = with_replay_timing(args.get("workload", ""), args);
+    custom_workload = with_replay_timing(args.get("workload"), args);
     if (custom_workload.empty()) {
       std::fprintf(stderr, "campaign custom needs --workload W\n");
       return 1;
     }
-    if (!workloads::is_known_workload(custom_workload)) {
-      std::fprintf(stderr, "%s\n", workloads::workload_name_error(custom_workload).c_str());
-      return 1;
-    }
+    if (!known_workload(custom_workload)) return 1;
   } else if (family != "io500" && family != "dlio" && family != "amrex" &&
              family != "enzo" && family != "openpmd") {
     std::fprintf(stderr, "unknown campaign family: %s\n", family.c_str());
@@ -658,7 +388,7 @@ int cmd_campaign(const Args& args) {
   // first (plain runner, nothing streamed or saved) purely for comparison;
   // the mitigated pass produces the dataset written to --out.
   const ctrl::MitigationConfig mitigation =
-      ctrl::parse_mitigation(args.get("mitigate", ""));
+      ctrl::parse_mitigation(args.get("mitigate"));
   std::map<std::string, std::pair<core::MitigationAggregate, core::MitigationAggregate>> by_target;
   if (!mitigation.empty()) {
     core::DatasetOptions off_opts = opts;
@@ -678,9 +408,9 @@ int cmd_campaign(const Args& args) {
   }
 
   const monitor::Dataset ds = build_family(opts);
-  save_dataset(args.get("out", ""), ds, qds_options(args));
+  save_dataset(args.get("out"), ds, qds_options(args));
   const auto hist = ds.class_histogram();
-  std::printf("wrote %zu windows to %s (classes:", ds.size(), args.get("out", "").c_str());
+  std::printf("wrote %zu windows to %s (classes:", ds.size(), args.get("out").c_str());
   for (std::size_t c = 0; c < hist.size(); ++c) std::printf(" %zu", hist[c]);
   std::printf(")\n");
   if (stream.has_value()) {
@@ -728,125 +458,88 @@ int cmd_campaign(const Args& args) {
   return 0;
 }
 
-int cmd_train(const Args& args) {
-  if (args.options.count("data") == 0 || args.options.count("out") == 0) return usage();
-  const std::string data = args.get("data", "");
-  core::TrainingServerConfig cfg;
-  cfg.n_classes = args.get_int("classes", 2);
-  cfg.train.max_epochs = args.get_int("epochs", cfg.train.max_epochs);
-  cfg.train.jobs = args.get_int("jobs", 1);
-  core::TrainingServer server(cfg);
+/// Runs `use(rows, note)` over any dataset source, read in place where it
+/// can be: a .qdm manifest's shards stay on disk (mmap'ed, resident pages
+/// capped at `budget_bytes` unless 0), a single .qds file is mmap'ed
+/// (zero-copy for uncompressed version-2 images), and anything else is
+/// read as CSV.  `note` says which.
+template <class Use>
+void with_rows(const std::string& path, std::size_t budget_bytes, Use&& use) {
+  if (sniff_magic(path, monitor::is_qdm_magic)) {
+    const monitor::ShardedDataset ds = monitor::ShardedDataset::open(path, budget_bytes);
+    char note[64];
+    std::snprintf(note, sizeof(note), " [%zu shards%s]", ds.n_shards(),
+                  ds.zero_copy() ? ", mmap zero-copy" : "");
+    use(ds, note);
+  } else if (sniff_magic(path, monitor::is_qds_magic)) {
+    const monitor::MappedDataset mapped = monitor::map_dataset_qds(path);
+    const monitor::TableView view(mapped.table);
+    use(monitor::ViewRows(view), mapped.zero_copy ? " [mmap zero-copy]" : " [mmap]");
+  } else {
+    const monitor::Dataset ds = load_dataset(path);
+    const monitor::TableView view(ds);
+    use(monitor::ViewRows(view), "");
+  }
+}
 
-  ml::TrainResult tr;
-  std::size_t n_train = 0;
-  ml::ConfusionMatrix cm(cfg.n_classes);
-  if (is_manifest_file(data)) {
-    // Streaming path: shards stay on disk (mmap'ed, optionally under a
-    // resident-page budget) and the chunked trainer reads rows in place.
-    // split_rows + SubsetRows reproduce split_dataset's membership, so
-    // the model bytes match the in-RAM path bit for bit.
-    const std::size_t budget_mib =
-        static_cast<std::size_t>(std::max(args.get_int("memory-budget", 0), 0));
-    const monitor::ShardedDataset ds =
-        monitor::ShardedDataset::open(data, budget_mib << 20);
+int cmd_train(const Args& args) {
+  core::TrainingServerConfig cfg;
+  cfg.n_classes = args.get<int>("classes");
+  cfg.train.max_epochs = args.get<int>("epochs");
+  cfg.train.jobs = args.get<int>("jobs");
+  core::TrainingServer server(cfg);
+  const auto budget = static_cast<std::size_t>(args.get<int>("memory-budget")) << 20;
+  with_rows(args.get("data"), budget, [&](const monitor::RowAccess& ds, const char*) {
+    // split_rows + SubsetRows are split_dataset's membership, so every
+    // source trains the same model bytes.
     auto [train_idx, test_idx] = ml::split_rows(ds.size(), 0.2, 17);
     const monitor::SubsetRows train(ds, std::move(train_idx));
     const monitor::SubsetRows test(ds, std::move(test_idx));
-    n_train = train.size();
-    tr = server.fit_rows(train);
-    cm = server.evaluate_rows(test);
-  } else if (is_qds_file(data)) {
-    // Single .qds files are mmap'ed; uncompressed version-2 images train
-    // straight out of the page cache with zero copies.
-    const monitor::MappedDataset mapped = monitor::map_dataset_qds(data);
-    auto [train, test] = ml::split_dataset(mapped.table, 0.2, 17);
-    n_train = train.size();
-    tr = server.fit(train);
-    cm = server.evaluate(test);
-  } else {
-    const monitor::Dataset ds = load_dataset(data);
-    auto [train, test] = ml::split_dataset(ds, 0.2, 17);
-    n_train = train.size();
-    tr = server.fit(train);
-    cm = server.evaluate(test);
-  }
-  std::printf("trained on %zu windows (best epoch %d, val macro-F1 %.3f)\n", n_train,
-              tr.best_epoch, tr.best_val_macro_f1);
-  std::printf("%s", cm.to_string().c_str());
-  const std::string out = args.get("out", "");
+    const ml::TrainResult tr = server.fit_rows(train);
+    const ml::ConfusionMatrix cm = server.evaluate_rows(test);
+    std::printf("trained on %zu windows (best epoch %d, val macro-F1 %.3f)\n", train.size(),
+                tr.best_epoch, tr.best_val_macro_f1);
+    std::printf("%s", cm.to_string().c_str());
+  });
+  const std::string out = args.get("out");
   write_file(out, [&](std::ostream& os) { server.save(os); });
   std::printf("model saved to %s\n", out.c_str());
   return 0;
 }
 
 int cmd_eval(const Args& args) {
-  if (args.options.count("data") == 0 || args.options.count("model") == 0) return usage();
-  const std::string data = args.get("data", "");
   core::TrainingServer server(core::TrainingServerConfig{});
-  read_file(args.get("model", ""), [&](std::istream& in) { server.load(in); });
-  ml::ConfusionMatrix cm(server.config().n_classes);
-  if (is_manifest_file(data)) {
-    const monitor::ShardedDataset ds = monitor::ShardedDataset::open(data);
-    cm = server.evaluate_rows(ds);
-  } else if (is_qds_file(data)) {
-    const monitor::MappedDataset mapped = monitor::map_dataset_qds(data);
-    cm = server.evaluate(mapped.table);
-  } else {
-    const monitor::Dataset ds = load_dataset(data);
-    cm = server.evaluate(ds);
-  }
-  std::printf("%s", cm.to_string().c_str());
+  read_file(args.get("model"), [&](std::istream& in) { server.load(in); });
+  with_rows(args.get("data"), 0, [&](const monitor::RowAccess& ds, const char*) {
+    std::printf("%s", server.evaluate_rows(ds).to_string().c_str());
+  });
   return 0;
 }
 
-/// `dataset info` body over any row source (in-RAM, mmap'ed, or sharded).
-void print_dataset_info(const std::string& path, const monitor::RowAccess& ds,
-                        const char* storage_note) {
-  const auto hist = ds.class_histogram();
-  std::printf("%s: %zu windows, %d servers x %d features (row width %zu)%s\n",
-              path.c_str(), ds.size(), ds.n_servers(), ds.dim(), ds.width(),
-              storage_note);
-  std::printf("classes:");
-  for (std::size_t c = 0; c < hist.size(); ++c) std::printf(" %zu", hist[c]);
-  std::printf("\n");
-  if (!ds.empty()) {
-    double deg_sum = 0.0;
-    for (std::size_t i = 0; i < ds.size(); ++i) deg_sum += ds.degradation(i);
-    std::printf("windows %lld..%lld, mean degradation %.3f\n",
-                static_cast<long long>(ds.window_index(0)),
-                static_cast<long long>(ds.window_index(ds.size() - 1)),
-                deg_sum / static_cast<double>(ds.size()));
-  }
+int cmd_dataset_info(const Args& args) {
+  const std::string& path = args.positional[0];
+  with_rows(path, 0, [&](const monitor::RowAccess& ds, const char* note) {
+    const auto hist = ds.class_histogram();
+    std::printf("%s: %zu windows, %d servers x %d features (row width %zu)%s\n",
+                path.c_str(), ds.size(), ds.n_servers(), ds.dim(), ds.width(), note);
+    std::printf("classes:");
+    for (std::size_t c = 0; c < hist.size(); ++c) std::printf(" %zu", hist[c]);
+    std::printf("\n");
+    if (!ds.empty()) {
+      double deg_sum = 0.0;
+      for (std::size_t i = 0; i < ds.size(); ++i) deg_sum += ds.degradation(i);
+      std::printf("windows %lld..%lld, mean degradation %.3f\n",
+                  static_cast<long long>(ds.window_index(0)),
+                  static_cast<long long>(ds.window_index(ds.size() - 1)),
+                  deg_sum / static_cast<double>(ds.size()));
+    }
+  });
+  return 0;
 }
 
-int cmd_dataset(const Args& args) {
-  if (args.positional.size() < 2) return usage();
-  const std::string& verb = args.positional[0];
-  const std::string& path = args.positional[1];
-  if (verb == "info") {
-    if (is_manifest_file(path)) {
-      const monitor::ShardedDataset ds = monitor::ShardedDataset::open(path);
-      char note[64];
-      std::snprintf(note, sizeof(note), " [%zu shards%s]", ds.n_shards(),
-                    ds.zero_copy() ? ", mmap zero-copy" : "");
-      print_dataset_info(path, ds, note);
-    } else if (is_qds_file(path)) {
-      const monitor::MappedDataset mapped = monitor::map_dataset_qds(path);
-      const monitor::TableView view(mapped.table);
-      const monitor::ViewRows rows(view);
-      print_dataset_info(path, rows, mapped.zero_copy ? " [mmap zero-copy]" : " [mmap]");
-    } else {
-      const monitor::Dataset ds = load_dataset(path);
-      const monitor::TableView view(ds);
-      const monitor::ViewRows rows(view);
-      print_dataset_info(path, rows, "");
-    }
-    return 0;
-  }
-  if (verb == "head") {
-    const auto rows = static_cast<std::size_t>(args.get_int("rows", 5));
-    const monitor::Dataset ds = materialize_any(path);
-    std::ostringstream os;
+int cmd_dataset_head(const Args& args) {
+  const auto rows = static_cast<std::size_t>(args.get<int>("rows"));
+  with_rows(args.positional[0], 0, [&](const monitor::RowAccess& ds, const char*) {
     // Reuse the CSV writer on a head-sized copy so the column headers are
     // printed too.
     monitor::Dataset head;
@@ -854,60 +547,52 @@ int cmd_dataset(const Args& args) {
     for (std::size_t i = 0; i < std::min(rows, ds.size()); ++i) {
       head.append_row(ds.window_index(i), ds.label(i), ds.degradation(i), ds.row(i));
     }
+    std::ostringstream os;
     monitor::write_dataset_csv(os, head);
     std::printf("%s", os.str().c_str());
-    return 0;
+  });
+  return 0;
+}
+
+int cmd_dataset_convert(const Args& args) {
+  const std::string& out_path = args.positional[1];
+  const monitor::Dataset ds = materialize_any(args.positional[0]);
+  save_dataset(out_path, ds, qds_options(args));
+  std::printf("wrote %zu windows to %s (%s)\n", ds.size(), out_path.c_str(),
+              has_qds_extension(out_path) ? "binary .qds" : "CSV");
+  return 0;
+}
+
+int cmd_dataset_shard(const Args& args) {
+  const monitor::Dataset ds = materialize_any(args.positional[0]);
+  if (ds.empty()) throw std::runtime_error("refusing to shard an empty dataset");
+  auto rows_per_shard = static_cast<std::size_t>(args.get<int>("rows-per-shard"));
+  if (args.has("shards")) {
+    const auto n_shards = static_cast<std::size_t>(args.get<int>("shards"));
+    rows_per_shard = (ds.size() + n_shards - 1) / n_shards;
   }
-  if (verb == "convert") {
-    if (args.positional.size() < 3) return usage();
-    const std::string& out_path = args.positional[2];
-    const monitor::Dataset ds = materialize_any(path);
-    save_dataset(out_path, ds, qds_options(args));
-    std::printf("wrote %zu windows to %s (%s)\n", ds.size(), out_path.c_str(),
-                has_qds_extension(out_path) ? "binary .qds" : "CSV");
-    return 0;
-  }
-  if (verb == "shard") {
-    if (args.positional.size() < 3) return usage();
-    const std::string& prefix = args.positional[2];
-    const monitor::Dataset ds = materialize_any(path);
-    if (ds.empty()) throw std::runtime_error("refusing to shard an empty dataset");
-    std::size_t rows_per_shard = 0;
-    if (args.options.count("shards") != 0) {
-      const auto n_shards = static_cast<std::size_t>(std::max(args.get_int("shards", 1), 1));
-      rows_per_shard = (ds.size() + n_shards - 1) / n_shards;
-    } else {
-      rows_per_shard =
-          static_cast<std::size_t>(std::max(args.get_int("rows-per-shard", 65536), 1));
-    }
-    const std::string manifest =
-        monitor::write_sharded_dataset(prefix, ds, rows_per_shard, qds_options(args));
-    const std::size_t n_shards = (ds.size() + rows_per_shard - 1) / rows_per_shard;
-    std::printf("wrote %zu windows to %zu shard(s) behind %s\n", ds.size(), n_shards,
-                manifest.c_str());
-    return 0;
-  }
-  if (verb == "merge") {
-    if (args.positional.size() < 3) return usage();
-    const std::string& out_path = args.positional[2];
-    const monitor::Dataset ds = monitor::ShardedDataset::open(path).materialize();
-    save_dataset(out_path, ds, qds_options(args));
-    std::printf("merged %zu windows into %s\n", ds.size(), out_path.c_str());
-    return 0;
-  }
-  return usage();
+  const std::string manifest = monitor::write_sharded_dataset(args.positional[1], ds,
+                                                              rows_per_shard, qds_options(args));
+  const std::size_t n_shards = (ds.size() + rows_per_shard - 1) / rows_per_shard;
+  std::printf("wrote %zu windows to %zu shard(s) behind %s\n", ds.size(), n_shards,
+              manifest.c_str());
+  return 0;
+}
+
+int cmd_dataset_merge(const Args& args) {
+  const std::string& out_path = args.positional[1];
+  const monitor::Dataset ds = monitor::ShardedDataset::open(args.positional[0]).materialize();
+  save_dataset(out_path, ds, qds_options(args));
+  std::printf("merged %zu windows into %s\n", ds.size(), out_path.c_str());
+  return 0;
 }
 
 int cmd_dump_trace(const Args& args) {
-  if (args.positional.empty() || args.options.count("out") == 0) return usage();
   const std::string target = with_replay_timing(args.positional[0], args);
-  if (!workloads::is_known_workload(target)) {
-    std::fprintf(stderr, "%s\n", workloads::workload_name_error(target).c_str());
-    return 1;
-  }
+  if (!known_workload(target)) return 1;
   const core::ScenarioConfig cfg = target_scenario(target, args);
   const auto res = core::run_scenario(cfg);
-  const std::string out = args.get("out", "");
+  const std::string out = args.get("out");
   write_file(out, [&](std::ostream& os) { trace::write_dxt(os, res.trace); });
   std::printf("wrote %zu op records to %s\n", res.trace.size(), out.c_str());
   return 0;
@@ -927,11 +612,11 @@ std::int64_t serve_now_ns() {
 /// writes), the newest valid registry version, or — with neither — a
 /// synthetic bundle so smoke/latency runs need no training step.
 serve::ServingModel resolve_serving_model(const Args& args) {
-  const std::string path = args.get("model", "");
+  const std::string path = args.get("model");
   if (!path.empty()) {
     return read_file(path, [](std::istream& in) { return serve::load_model(in); });
   }
-  const std::string dir = args.get("model-dir", "");
+  const std::string dir = args.get("model-dir");
   if (!dir.empty()) {
     serve::ModelRegistry registry(dir);
     if (registry.refresh() == 0) {
@@ -943,9 +628,9 @@ serve::ServingModel resolve_serving_model(const Args& args) {
   // identity standardizer — predictions are meaningless but the compute
   // path is the real one, which is all latency and identity runs need.
   serve::ServingModel model;
-  model.n_classes = std::max(args.get_int("classes", 2), 2);
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
-  const std::string arch = args.get("arch", "kernel");
+  model.n_classes = args.get<int>("classes");
+  const auto seed = static_cast<std::uint64_t>(args.get<int>("seed"));
+  const std::string arch = args.get("arch");
   if (arch == "attention") {
     ml::AttentionNetConfig cfg;
     cfg.n_classes = model.n_classes;
@@ -983,7 +668,6 @@ double percentile(const std::vector<double>& sorted, double q) {
 struct BenchOutcome {
   std::vector<double> latencies_us;  // sorted after merge
   double wall_s = 0.0;
-  std::uint64_t requests = 0;
   std::map<std::uint64_t, std::uint64_t> by_version;  // model version -> count
 };
 
@@ -1050,25 +734,24 @@ BenchOutcome run_sync_bench(const serve::ServingModel& model, std::size_t n_requ
     serve::predict_batch(model, &rp, 1, scratch);
     out.latencies_us.push_back(
         static_cast<double>(request.done_ns - request.enqueue_ns) / 1e3);
-    ++out.by_version[request.model_version];
   }
   const auto t1 = serve_now_ns();
   out.wall_s = static_cast<double>(t1 - t0) / 1e9;
-  out.requests = n_requests;
   std::sort(out.latencies_us.begin(), out.latencies_us.end());
   return out;
 }
 
 void print_bench_outcome(const char* mode, const BenchOutcome& o, std::uint64_t swaps,
                          const serve::ServiceStats* stats) {
-  const double rps = o.wall_s > 0 ? static_cast<double>(o.requests) / o.wall_s : 0.0;
+  const std::size_t requests = o.latencies_us.size();
+  const double rps = o.wall_s > 0 ? static_cast<double>(requests) / o.wall_s : 0.0;
   const double mean =
       o.latencies_us.empty()
           ? 0.0
           : std::accumulate(o.latencies_us.begin(), o.latencies_us.end(), 0.0) /
                 static_cast<double>(o.latencies_us.size());
-  std::printf("%s: %llu requests in %.3f s -> %.0f predictions/s\n", mode,
-              static_cast<unsigned long long>(o.requests), o.wall_s, rps);
+  std::printf("%s: %zu requests in %.3f s -> %.0f predictions/s\n", mode, requests, o.wall_s,
+              rps);
   std::printf("latency us: mean %.1f  p50 %.1f  p99 %.1f  p999 %.1f  max %.1f\n", mean,
               percentile(o.latencies_us, 0.50), percentile(o.latencies_us, 0.99),
               percentile(o.latencies_us, 0.999),
@@ -1094,29 +777,24 @@ void print_bench_outcome(const char* mode, const BenchOutcome& o, std::uint64_t 
 
 int cmd_serve_bench(const Args& args) {
   const serve::ServingModel model = resolve_serving_model(args);
-  const int producers = std::max(args.get_int("producers", 4), 1);
-  const auto requests =
-      static_cast<std::size_t>(std::max(args.get_int("requests", 20000), 1));
+  const int producers = args.get<int>("producers");
+  const auto requests = static_cast<std::size_t>(args.get<int>("requests"));
   const std::size_t per_producer =
       (requests + static_cast<std::size_t>(producers) - 1) /
       static_cast<std::size_t>(producers);
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
-  if (args.options.count("sync") != 0) {
+  const auto seed = static_cast<std::uint64_t>(args.get<int>("seed"));
+  if (args.has("sync")) {
     const BenchOutcome o = run_sync_bench(model, requests, seed);
     print_bench_outcome("sync", o, 0, nullptr);
     return 0;
   }
   serve::ServiceConfig scfg;
-  scfg.ring_capacity = static_cast<std::size_t>(std::max(args.get_int("ring", 1024), 2));
-  scfg.max_batch = static_cast<std::size_t>(std::max(args.get_int("max-batch", 32), 1));
-  scfg.max_delay_us = std::max(args.get_int("max-delay-us", 200), 0);
-  const auto inflight =
-      static_cast<std::size_t>(std::max(args.get_int("inflight", 64), 1));
-  const int swap_every_ms = std::max(args.get_int("swap-every-ms", 0), 0);
+  scfg.ring_capacity = static_cast<std::size_t>(args.get<int>("ring"));
+  scfg.max_batch = static_cast<std::size_t>(args.get<int>("max-batch"));
+  scfg.max_delay_us = args.get<int>("max-delay-us");
+  const auto inflight = static_cast<std::size_t>(args.get<int>("inflight"));
+  const int swap_every_ms = args.get<int>("swap-every-ms");
 
-  // The service outlives the stats read below because run_batched_bench
-  // joins everything before returning; stats are copied out via the
-  // service inside.  Re-run with a local service to read stats:
   auto live = std::make_shared<const serve::ServingModel>(model);
   serve::InferenceService service(live, scfg);
   service.start();
@@ -1160,7 +838,6 @@ int cmd_serve_bench(const Args& args) {
   BenchOutcome merged;
   merged.wall_s = static_cast<double>(t1 - t0) / 1e9;
   for (auto& p : partial) {
-    merged.requests += p.latencies_us.size();
     merged.latencies_us.insert(merged.latencies_us.end(), p.latencies_us.begin(),
                                p.latencies_us.end());
     for (const auto& [v, c] : p.by_version) merged.by_version[v] += c;
@@ -1170,18 +847,21 @@ int cmd_serve_bench(const Args& args) {
   return 0;
 }
 
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
 int cmd_serve_verify(const Args& args) {
   const serve::ServingModel model = resolve_serving_model(args);
-  const int producers = std::max(args.get_int("producers", 2), 1);
-  const auto requests =
-      static_cast<std::size_t>(std::max(args.get_int("requests", 2000), 1));
+  const int producers = args.get<int>("producers");
+  const auto requests = static_cast<std::size_t>(args.get<int>("requests"));
   const std::size_t per_producer =
       (requests + static_cast<std::size_t>(producers) - 1) /
       static_cast<std::size_t>(producers);
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
+  const auto seed = static_cast<std::uint64_t>(args.get<int>("seed"));
   serve::ServiceConfig scfg;
-  scfg.max_batch = static_cast<std::size_t>(std::max(args.get_int("max-batch", 32), 1));
-  scfg.max_delay_us = std::max(args.get_int("max-delay-us", 100), 0);
+  scfg.max_batch = static_cast<std::size_t>(args.get<int>("max-batch"));
+  scfg.max_delay_us = args.get<int>("max-delay-us");
 
   // Batched pass: every request (and its feature row) is retained so the
   // sync replay below can recompute it on identical inputs.
@@ -1221,16 +901,11 @@ int cmd_serve_verify(const Args& args) {
     sync_req.features = features[i].data();
     sync_req.n_features = feat;
     serve::predict_batch(model, &rp, 1, scratch);
-    bool same = sync_req.predicted_class == reqs[i].predicted_class &&
-                sync_req.probabilities.size() == reqs[i].probabilities.size() &&
-                sync_req.server_scores.size() == reqs[i].server_scores.size();
-    if (same) {
-      same = std::memcmp(sync_req.probabilities.data(), reqs[i].probabilities.data(),
-                         sync_req.probabilities.size() * sizeof(double)) == 0 &&
-             std::memcmp(sync_req.server_scores.data(), reqs[i].server_scores.data(),
-                         sync_req.server_scores.size() * sizeof(double)) == 0;
+    if (sync_req.predicted_class != reqs[i].predicted_class ||
+        !same_bits(sync_req.probabilities, reqs[i].probabilities) ||
+        !same_bits(sync_req.server_scores, reqs[i].server_scores)) {
+      ++mismatches;
     }
-    if (!same) ++mismatches;
   }
   std::printf("verified %zu batched predictions against the sync path: %s"
               " (%llu batches, %zu mismatches)\n",
@@ -1239,54 +914,154 @@ int cmd_serve_verify(const Args& args) {
   return mismatches == 0 ? 0 : 1;
 }
 
-int cmd_serve(const Args& args) {
-  if (args.positional.empty()) return usage();
-  const std::string& mode = args.positional[0];
-  if (mode == "bench") return cmd_serve_bench(args);
-  if (mode == "verify") return cmd_serve_verify(args);
-  if (mode == "publish") {
-    if (args.options.count("model") == 0 || args.options.count("model-dir") == 0) {
-      return usage();
-    }
-    const serve::ServingModel model = resolve_serving_model(args);
-    serve::ModelRegistry registry(args.get("model-dir", ""));
-    const std::uint64_t v = registry.publish(model);
-    std::printf("published %s as v%llu.qifm in %s\n", args.get("model", "").c_str(),
-                static_cast<unsigned long long>(v), args.get("model-dir", "").c_str());
-    return 0;
+int cmd_serve_publish(const Args& args) {
+  const serve::ServingModel model = resolve_serving_model(args);
+  serve::ModelRegistry registry(args.get("model-dir"));
+  const std::uint64_t v = registry.publish(model);
+  std::printf("published %s as v%llu.qifm in %s\n", args.get("model").c_str(),
+              static_cast<unsigned long long>(v), args.get("model-dir").c_str());
+  return 0;
+}
+
+int cmd_serve_versions(const Args& args) {
+  const serve::ModelRegistry registry(args.get("model-dir"));
+  for (const auto v : registry.list_versions()) {
+    std::printf("v%llu\n", static_cast<unsigned long long>(v));
   }
-  if (mode == "versions") {
-    if (args.options.count("model-dir") == 0) return usage();
-    const serve::ModelRegistry registry(args.get("model-dir", ""));
-    for (const auto v : registry.list_versions()) {
-      std::printf("v%llu\n", static_cast<unsigned long long>(v));
-    }
-    return 0;
-  }
-  return usage();
+  return 0;
+}
+
+// ---------------------------------------------------------------------------
+// The command table
+// ---------------------------------------------------------------------------
+
+using cli::Kind;
+
+// Options several commands share.
+const cli::Option kScale{"scale", Kind::kReal, "S", "multiply the workload's op counts", "1"};
+const cli::Option kSeed{"seed", Kind::kInt, "K", "simulation seed", "1"};
+const cli::Option kLanes{"lanes", Kind::kInt, "N", "parallel event lanes, 1 to the OSS count"};
+const cli::Option kTopology{"topology", Kind::kText, "CxSxT", "cluster shape, e.g. 1008x16x8"};
+const cli::Option kReplayTiming{"replay-timing", Kind::kText, "P",
+                                "timing of trace: workloads: original, asap or scale=X"};
+const cli::Option kFaults{"faults", Kind::kText, "SPEC",
+                          "fault plan, e.g. slow:ost=0,start=2,dur=10,factor=4"};
+const cli::Option kMitigate{"mitigate", Kind::kText, "POLICY",
+                            "closed-loop mitigation: off, token[:k=v,...] or probe[:k=v,...]"};
+const cli::Option kJobs{"jobs", Kind::kInt, "N", "worker threads; same bytes for every N", "1"};
+const cli::Option kCompress{"compress", Kind::kFlag, "", "LZ-compress the .qds column blocks"};
+const cli::Option kData{"data", Kind::kText, "F", "dataset: .csv, .qds or .qdm", "", {}, true};
+const cli::Option kModelFile{"model", Kind::kText, "F.qifm", "the model file", "", {}, true};
+const cli::Option kRegistry{"model-dir", Kind::kText, "D", "the registry", "", {}, true};
+// `serve bench` and `serve verify` serve a model file, the registry's
+// newest version, or with neither a synthetic model (untrained weights).
+const cli::Option kModel{"model", Kind::kText, "F.qifm", "serve this model file"};
+const cli::Option kModelDir{"model-dir", Kind::kText, "D", "serve the registry's newest version"};
+const cli::Option kArch{"arch", Kind::kText, "A", "synthetic model: kernel|attention", "kernel"};
+const cli::Option kClasses{"classes", Kind::kInt, "C", "synthetic model classes", "2", 2};
+const cli::Option kServeSeed{"seed", Kind::kInt, "K", "synthetic model and request seed", "7"};
+const cli::Option kMaxBatch{"max-batch", Kind::kInt, "B", "largest batch", "32", 1};
+
+const std::vector<cli::Command>& commands() {
+  static const std::vector<cli::Command> table = {
+      {"qif workloads", "", 0, "list the workload names", {}, cmd_workloads},
+      {"qif workloads list", "", 0, "list names and parameterized forms", {}, cmd_workloads_list},
+      {"qif workloads export", "<name>", 1, "write a workload's rank programs as .qwp",
+       {{"ranks", Kind::kInt, "N", "ranks", "4", 1},
+        kSeed,
+        kScale,
+        {"out", Kind::kText, "F.qwp", "write here instead of stdout"}}, cmd_workloads_export},
+      {"qif workloads lint", "<file.qwp>", 1, "parse a .qwp file", {}, cmd_workloads_lint},
+      {"qif run", "<target>", 1, "run solo and under noise; print slowdowns per op type",
+       {{"noise", Kind::kText, "W", "workload run beside the target"},
+        {"instances", Kind::kInt, "N", "looping copies of the noise workload", "15", 0},
+        kScale, kSeed, kFaults, kLanes, kTopology, kMitigate, kReplayTiming}, cmd_run},
+      {"qif campaign", "<io500|dlio|amrex|enzo|openpmd|custom>", 1, "build a labelled dataset",
+       {{"richness", Kind::kReal, "R", "campaign size multiplier", "1"},
+        {"workload", Kind::kText, "W", "target of family custom (any workload name)"},
+        {"bins", Kind::kText, "2|2,5", "degradation thresholds of the classes", "2"},
+        {"seed", Kind::kInt, "K", "campaign seed", "42"},
+        kJobs, kFaults,
+        {"mitigate", Kind::kText, "POLICY", "compare on-vs-off twins over the same seeds"},
+        kCompress,
+        {"stream-out", Kind::kText, "DIR", "also stream shards behind DIR/<family>.qdm"},
+        {"out", Kind::kText, "F.{csv,qds}", "the dataset", "", {}, true},
+        kReplayTiming}, cmd_campaign},
+      {"qif train", "", 0, "train the kernel-based model on 80% of a dataset",
+       {kData,
+        {"out", Kind::kText, "F.qifm", "the model file", "", {}, true},
+        {"classes", Kind::kInt, "C", "output classes", "2"},
+        {"epochs", Kind::kInt, "E", "most epochs", std::to_string(ml::TrainConfig{}.max_epochs)},
+        kJobs,
+        {"memory-budget", Kind::kInt, "MB", "cap on resident .qdm MiB; 0 is none", "0", 0}},
+       cmd_train},
+      {"qif eval", "", 0, "evaluate a model on a dataset", {kData, kModelFile}, cmd_eval},
+      {"qif dataset info", "<file>", 1, "print shape, classes, degradation", {}, cmd_dataset_info},
+      {"qif dataset head", "<file>", 1, "print the first rows as CSV",
+       {{"rows", Kind::kInt, "N", "rows", "5", 0}}, cmd_dataset_head},
+      {"qif dataset convert", "<in> <out>", 2, "rewrite in the format <out> names",
+       {kCompress}, cmd_dataset_convert},
+      {"qif dataset shard", "<in> <out-prefix>", 2, "split into shards behind <prefix>.qdm",
+       {{"rows-per-shard", Kind::kInt, "R", "rows per shard", "65536", 1},
+        {"shards", Kind::kInt, "N", "split into N shards instead", "", 1},
+        kCompress}, cmd_dataset_shard},
+      {"qif dataset merge", "<in.qdm> <out>", 2, "stitch a manifest's shards into one file",
+       {kCompress}, cmd_dataset_merge},
+      {"qif dump-trace", "<target>", 1, "run the target solo; write its DXT-style trace",
+       {kScale, kSeed, kLanes, kTopology,
+        {"out", Kind::kText, "F.dxt", "the trace file", "", {}, true},
+        kReplayTiming}, cmd_dump_trace},
+      {"qif serve bench", "", 0, "closed-loop load; print predictions/s and latency",
+       {kModel, kModelDir, kArch, kClasses, kServeSeed,
+        {"producers", Kind::kInt, "N", "producer threads", "4", 1},
+        {"requests", Kind::kInt, "R", "requests in all", "20000", 1},
+        kMaxBatch,
+        {"max-delay-us", Kind::kInt, "U", "longest wait to fill a batch", "200", 0},
+        {"ring", Kind::kInt, "CAP", "request ring capacity", "1024", 2},
+        {"inflight", Kind::kInt, "W", "requests in flight per producer", "64", 1},
+        {"sync", Kind::kFlag, "", "time the one-row synchronous path instead"},
+        {"swap-every-ms", Kind::kInt, "M", "hot-swap the model; 0 is never", "0", 0}},
+       cmd_serve_bench},
+      {"qif serve verify", "", 0, "check batched predictions bit for bit against one-row ones",
+       {kModel, kModelDir, kArch, kClasses, kServeSeed,
+        {"producers", Kind::kInt, "N", "producer threads", "2", 1},
+        {"requests", Kind::kInt, "R", "requests in all", "2000", 1},
+        kMaxBatch,
+        {"max-delay-us", Kind::kInt, "U", "longest wait to fill a batch", "100", 0}},
+       cmd_serve_verify},
+      {"qif serve publish", "", 0, "copy a model into the registry as v<N+1>.qifm",
+       {kModelFile, kRegistry}, cmd_serve_publish},
+      {"qif serve versions", "", 0, "list registry versions", {kRegistry}, cmd_serve_versions},
+  };
+  return table;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return usage();
-  const std::string cmd = argv[1];
-  const std::string verb = cmd == "serve" && argc > 2 ? cmd + " " + argv[2] : cmd;
-  const auto accepted = verb_options().find(verb);
-  if (accepted == verb_options().end()) return usage();
-  try {
-    const Args args = parse(verb, accepted->second, argc, argv);
-    if (cmd == "workloads") return cmd_workloads(args);
-    if (cmd == "run") return cmd_run(args);
-    if (cmd == "campaign") return cmd_campaign(args);
-    if (cmd == "train") return cmd_train(args);
-    if (cmd == "eval") return cmd_eval(args);
-    if (cmd == "dataset") return cmd_dataset(args);
-    if (cmd == "dump-trace") return cmd_dump_trace(args);
-    return cmd_serve(args);
-  } catch (const UsageError& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
+  // The longest command name the first words spell wins: `qif workloads
+  // list` over `qif workloads`.
+  const cli::Command* cmd = nullptr;
+  int first = 1;
+  std::string typed = "qif";
+  for (int i = 1; i < argc && i <= 2; ++i) {
+    typed += std::string(" ") + argv[i];
+    for (const cli::Command& c : commands()) {
+      if (c.name == typed) {
+        cmd = &c;
+        first = i + 1;
+      }
+    }
+  }
+  if (cmd == nullptr) {
+    if (argc > 1) std::fprintf(stderr, "error: unknown command '%s'\n", argv[1]);
+    std::fprintf(stderr, "usage: qif <command> [arguments] [options]\n\n");
+    for (const cli::Command& c : commands()) cli::print_usage(stderr, c);
     return 2;
+  }
+  const Args args = cli::parse_or_exit(*cmd, argc, argv, first);
+  try {
+    return cmd->run(args);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
