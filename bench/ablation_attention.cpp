@@ -49,7 +49,7 @@ std::pair<double, double> evaluate_both(const Net& net, const ml::Matrix& xt,
 
 const cli::Command kCommand{
     "ablation_attention", "", 0, "attention pooling against the kernel-based network",
-    {{"richness", cli::Kind::kReal, "R", "campaign richness", "2", 0}}};
+    {{"richness", cli::Kind::kReal, "R", "campaign richness", "2", 0, false, true}}};
 
 int main(int argc, char** argv) {
   const cli::Args args = cli::parse_or_exit(kCommand, argc, argv);

@@ -45,7 +45,7 @@ double train_eval(const monitor::TableView& train, const monitor::TableView& tes
 
 const cli::Command kCommand{
     "ablation_features", "", 0, "feature-group knockouts of the binary IO500 model",
-    {{"richness", cli::Kind::kReal, "R", "campaign richness", "2", 0}}};
+    {{"richness", cli::Kind::kReal, "R", "campaign richness", "2", 0, false, true}}};
 
 int main(int argc, char** argv) {
   const cli::Args args = cli::parse_or_exit(kCommand, argc, argv);

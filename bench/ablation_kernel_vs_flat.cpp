@@ -51,7 +51,7 @@ Scores run(const monitor::TableView& train, const monitor::TableView& test,
 
 const cli::Command kCommand{
     "ablation_kernel_vs_flat", "", 0, "the kernel-based network against a flat MLP",
-    {{"richness", cli::Kind::kReal, "R", "campaign richness", "2", 0}}};
+    {{"richness", cli::Kind::kReal, "R", "campaign richness", "2", 0, false, true}}};
 
 int main(int argc, char** argv) {
   const cli::Args args = cli::parse_or_exit(kCommand, argc, argv);

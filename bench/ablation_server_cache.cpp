@@ -15,6 +15,7 @@
 #include "qif/core/scenario.hpp"
 
 #include "bench_common.hpp"
+#include "cli_options.hpp"
 
 using namespace qif;
 
@@ -37,7 +38,11 @@ double slowdown(const std::string& target, double target_scale, const std::strin
 
 }  // namespace
 
-int main() {
+const cli::Command kCommand{"ablation_server_cache", "", 0,
+                            "the server read-cache model against Table I's deviations", {}};
+
+int main(int argc, char** argv) {
+  (void)cli::parse_or_exit(kCommand, argc, argv);
   std::printf("=== Ablation: server read-cache model vs Table I deviations ===\n\n");
   const std::int64_t kCache = 4ll << 30;  // a realistic RAM share per OST
 

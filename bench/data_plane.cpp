@@ -245,7 +245,7 @@ StreamingTimes run_streaming(std::size_t rows, std::size_t budget_mib) {
 const cli::Command kCommand{
     "data_plane", "", 0, "time the window data plane's stages; print one JSON object",
     {{"richness", cli::Kind::kReal, "R", "campaign richness, repeatable; 1 and 4 if absent", "",
-      0},
+      0, false, true},
      {"streaming-rows", cli::Kind::kInt, "N", "add the streaming leg over N rows", "0", 0},
      {"streaming-budget-mib", cli::Kind::kInt, "M", "the streaming leg's page budget", "256",
       0}}};

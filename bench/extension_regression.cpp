@@ -24,7 +24,7 @@ using namespace qif;
 
 const cli::Command kCommand{
     "extension_regression", "", 0, "degradation regression against binned classification",
-    {{"richness", cli::Kind::kReal, "R", "campaign richness", "2", 0}}};
+    {{"richness", cli::Kind::kReal, "R", "campaign richness", "2", 0, false, true}}};
 
 int main(int argc, char** argv) {
   const cli::Args args = cli::parse_or_exit(kCommand, argc, argv);

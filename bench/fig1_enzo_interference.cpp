@@ -21,6 +21,7 @@
 #include "qif/trace/matcher.hpp"
 
 #include "bench_common.hpp"
+#include "cli_options.hpp"
 
 using namespace qif;
 
@@ -84,7 +85,11 @@ void impact_summary(const char* label, const std::vector<trace::MatchedOp>& matc
 
 }  // namespace
 
-int main() {
+const cli::Command kCommand{"fig1_enzo_interference", "", 0,
+                            "Figure 1: Enzo's per-op I/O time under interference", {}};
+
+int main(int argc, char** argv) {
+  (void)cli::parse_or_exit(kCommand, argc, argv);
   const std::uint64_t seed = 3;
   std::printf("=== Figure 1: Enzo per-op I/O time under interference ===\n");
   std::printf("(proxy Enzo run; first %.0f s of baseline; read/write/open/close/stat ops;"

@@ -47,7 +47,7 @@ void run_dataset(const char* name, const monitor::Dataset& ds) {
 
 const cli::Command kCommand{
     "fig3_binary_benchmarks", "", 0, "Figure 3: binary prediction on the IO500 and DLIO datasets",
-    {{"richness", cli::Kind::kReal, "R", "campaign richness", "3", 0},
+    {{"richness", cli::Kind::kReal, "R", "campaign richness", "3", 0, false, true},
      {"jobs", cli::Kind::kInt, "N", "worker threads", "1", 1}}};
 
 int main(int argc, char** argv) {

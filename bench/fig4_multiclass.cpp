@@ -21,7 +21,7 @@ using namespace qif;
 
 const cli::Command kCommand{
     "fig4_multiclass", "", 0, "Figure 4: mild/moderate/severe prediction on IO500",
-    {{"richness", cli::Kind::kReal, "R", "campaign richness", "3", 0},
+    {{"richness", cli::Kind::kReal, "R", "campaign richness", "3", 0, false, true},
      {"jobs", cli::Kind::kInt, "N", "worker threads", "1", 1}}};
 
 int main(int argc, char** argv) {

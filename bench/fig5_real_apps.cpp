@@ -21,7 +21,7 @@ using namespace qif;
 
 const cli::Command kCommand{
     "fig5_real_apps", "", 0, "Figure 5: binary prediction for AMReX, Enzo and OpenPMD",
-    {{"richness", cli::Kind::kReal, "R", "campaign richness", "3", 0}}};
+    {{"richness", cli::Kind::kReal, "R", "campaign richness", "3", 0, false, true}}};
 
 int main(int argc, char** argv) {
   const cli::Args args = cli::parse_or_exit(kCommand, argc, argv);

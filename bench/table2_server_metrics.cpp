@@ -14,9 +14,15 @@
 #include "qif/sim/simulation.hpp"
 #include "qif/workloads/driver.hpp"
 
+#include "cli_options.hpp"
+
 using namespace qif;
 
-int main() {
+const cli::Command kCommand{"table2_server_metrics", "", 0,
+                            "Table II: server-side metrics, sampled live", {}};
+
+int main(int argc, char** argv) {
+  (void)cli::parse_or_exit(kCommand, argc, argv);
   std::printf("=== Table II: server-side metrics, sampled live ===\n\n");
   std::printf("metric groups (paper Table II):\n"
               "  I/O speed      — completed read/write requests per window\n"

@@ -90,7 +90,8 @@ cmake --build build-asan -j --target test_qds_fuzz test_export test_streaming \
   test_ml_gemm test_ml_nn test_ml_kernelnet test_ml_attention \
   test_sim_golden test_core test_sim_lanes test_pfs_client test_pfs_faults \
   test_campaign_mitigate test_sim_simulation test_sim_property test_sim_links \
-  test_pfs_read_cache test_pfs_writeback test_options
+  test_pfs_read_cache test_pfs_writeback test_options test_workloads \
+  test_workload_scenarios
 ./build-asan/tests/test_qds_fuzz
 ./build-asan/tests/test_export
 ./build-asan/tests/test_streaming
@@ -129,6 +130,11 @@ ASAN_OPTIONS=detect_leaks=1 ./build-asan/tests/test_campaign_mitigate
 ./build-asan/tests/test_pfs_writeback
 # Command-line parser: every word of argv is outside input.
 ./build-asan/tests/test_options
+# Workload programs: the 32-byte op records, the per-rank path table that
+# copies and moves re-point, and the executor's repeat cursor over folded
+# transfer runs, driven through every catalogue workload end to end.
+./build-asan/tests/test_workloads
+./build-asan/tests/test_workload_scenarios
 
 echo "=== tier-1: trace storage, fault paths, event engine, extent maps and GEMM under UBSan ==="
 # The trace log's fixed blocks and the records' 16-bit target lists (whose
@@ -144,7 +150,7 @@ cmake -B build-ubsan -S . -DQIF_SANITIZE=undefined
 cmake --build build-ubsan -j --target test_trace test_trace_alloc test_export test_replay \
   test_monitor test_pfs_client test_pfs_faults test_sim_golden test_sim_simulation \
   test_pfs_read_cache test_pfs_writeback test_ml_gemm test_ml_nn test_ml_kernelnet \
-  test_ml_attention test_options
+  test_ml_attention test_options test_workloads test_qwp test_workload_scenarios
 ./build-ubsan/tests/test_trace
 ./build-ubsan/tests/test_trace_alloc
 ./build-ubsan/tests/test_export
@@ -161,5 +167,11 @@ cmake --build build-ubsan -j --target test_trace test_trace_alloc test_export te
 ./build-ubsan/tests/test_ml_kernelnet
 ./build-ubsan/tests/test_ml_attention
 ./build-ubsan/tests/test_options
+# Workload programs: the record words each kind shares, and the run
+# cursor's offset arithmetic (wrapping by design, never signed overflow),
+# through the builders, the .qwp round trip and the scenarios.
+./build-ubsan/tests/test_workloads
+./build-ubsan/tests/test_qwp
+./build-ubsan/tests/test_workload_scenarios
 
 echo "tier-1 OK"

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <stdexcept>
+#include <string>
 
 #include "qif/core/scenario.hpp"
 
@@ -28,6 +30,10 @@ double standard_scale(const std::string& workload) {
 }
 
 int scaled_cases(int base, double richness) {
+  if (!(std::isfinite(richness) && richness > 0)) {
+    throw std::invalid_argument("campaign richness must be a positive number, got " +
+                                std::to_string(richness));
+  }
   return std::max(1, static_cast<int>(std::lround(base * richness)));
 }
 

@@ -28,7 +28,10 @@ using CampaignRunFn = std::function<CampaignResult(const CampaignConfig&)>;
 
 struct DatasetOptions {
   std::vector<double> bin_thresholds = {2.0};  ///< {2} binary; {2,5} 3-class
-  double richness = 1.0;    ///< multiplies the number of campaign cases
+  /// Multiplies the number of campaign cases (at least one per group).
+  /// The builders throw std::invalid_argument unless it is positive and
+  /// finite.
+  double richness = 1.0;
   std::uint64_t seed = 42;
   bool verbose = false;     ///< print per-campaign progress to stdout
   /// Windows with fewer matched ops are dropped (Level_degrade over one or

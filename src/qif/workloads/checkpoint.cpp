@@ -103,7 +103,7 @@ RankProgram build_checkpoint_program(const CheckpointConfig& config, pfs::Rank r
 
   RankProgram p;
   p.max_slot = 0;
-  const auto transfers = [&](std::vector<OpSpec>& seq, OpSpec::Kind kind) {
+  const auto transfers = [&](OpSeq& seq, OpSpec::Kind kind) {
     for (std::int64_t off = 0; off < config.bytes; off += config.transfer) {
       OpSpec io;
       io.kind = kind;
@@ -113,7 +113,7 @@ RankProgram build_checkpoint_program(const CheckpointConfig& config, pfs::Rank r
       seq.push_back(std::move(io));
     }
   };
-  const auto file_op = [&](std::vector<OpSpec>& seq, OpSpec::Kind kind,
+  const auto file_op = [&](OpSeq& seq, OpSpec::Kind kind,
                            const std::string& path) {
     OpSpec op;
     op.kind = kind;

@@ -17,7 +17,7 @@ RankProgram build_ior_program(const IorConfig& config, pfs::Rank rank, int n_ran
   // hard: stripe the shared file across every OST.
   const int stripes = config.hard ? 0 : 1;
 
-  auto emit_transfers = [&](std::vector<OpSpec>& seq, bool write) {
+  auto emit_transfers = [&](OpSeq& seq, bool write) {
     for (int i = 0; i < config.n_transfers; ++i) {
       OpSpec op;
       op.kind = write ? OpSpec::Kind::kWrite : OpSpec::Kind::kRead;

@@ -133,8 +133,8 @@ struct Registry {
       RankProgram suite;
       for (const auto& task : io500_tasks()) {
         RankProgram p = build_named_program(task, c.rank, c.n_ranks, c.job, c.seed, c.scale);
-        suite.body.insert(suite.body.end(), p.prologue.begin(), p.prologue.end());
-        suite.body.insert(suite.body.end(), p.body.begin(), p.body.end());
+        for (const OpSpec& op : p.prologue) suite.body.push_back(op);
+        for (const OpSpec& op : p.body) suite.body.push_back(op);
         suite.max_slot = std::max(suite.max_slot, p.max_slot);
       }
       return suite;
@@ -294,6 +294,10 @@ RankProgram build_named_program(const std::string& name, pfs::Rank rank, int n_r
     }
   }
   if (!builder) throw std::invalid_argument(workload_name_error(name));
+  if (!(std::isfinite(scale) && scale > 0)) {
+    throw std::invalid_argument("workload '" + name + "': scale must be a positive number, got " +
+                                std::to_string(scale));
+  }
   const WorkloadContext ctx{rank, n_ranks, job, seed, scale};
   // Builders run outside the registry lock: the io500-suite builder (and
   // any user-registered composite) recurses into build_named_program.

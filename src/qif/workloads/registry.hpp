@@ -82,8 +82,9 @@ void register_workload_prefix(const std::string& prefix, const std::string& arg_
 /// Builds rank `rank`'s program for workload `name` in a job of `n_ranks`
 /// ranks.  `scale` multiplies the per-iteration op counts (transfers,
 /// files, steps), letting campaigns trade run length for coverage.
-/// Throws std::invalid_argument (workload_name_error) for unknown names;
-/// prefix builders throw std::runtime_error for bad arguments.
+/// Throws std::invalid_argument for unknown names (workload_name_error)
+/// and for a scale that is not a positive finite number; prefix builders
+/// throw std::runtime_error for bad arguments.
 [[nodiscard]] RankProgram build_named_program(const std::string& name, pfs::Rank rank,
                                               int n_ranks, std::int32_t job,
                                               std::uint64_t seed, double scale = 1.0);

@@ -21,3 +21,7 @@ foreach(program fig3_binary_benchmarks fig4_multiclass fig5_real_apps ablation_a
 endforeach()
 expect_usage_error(table1_io500_matrix --repeat)
 expect_usage_error(phase_sweep --jobz)
+# The programs that take no options refuse every one.
+foreach(program fig1_enzo_interference table2_server_metrics ablation_server_cache)
+  expect_usage_error(${program} --jobs)
+endforeach()

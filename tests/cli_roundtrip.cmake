@@ -125,6 +125,13 @@ run_usage_error("bad --producers value '0'" ${QIF_CLI} serve bench --producers 0
 run_usage_error("bad --rows-per-shard value '0'"
   ${QIF_CLI} dataset shard data.csv bad_shards --rows-per-shard 0)
 run_usage_error("bad --ranks value '0'" ${QIF_CLI} workloads export ior-easy-write --ranks 0)
+# A scale or richness must be above zero: 0 or a negative value is refused,
+# not clamped to the smallest job.
+run_usage_error("bad --scale value '0': not above 0" ${QIF_CLI} run ior-easy-write --scale 0)
+run_usage_error("bad --scale value '-1': not above 0"
+  ${QIF_CLI} workloads export ior-easy-write --scale -1)
+run_usage_error("bad --richness value '0': not above 0"
+  ${QIF_CLI} campaign amrex --richness 0 --out bad.csv)
 # A negative noise count is refused before it reaches the simulator.
 run_usage_error("bad --instances value '-2'"
   ${QIF_CLI} run ior-easy-write --noise ior-easy-read --instances -2)

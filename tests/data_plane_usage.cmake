@@ -21,3 +21,4 @@ expect_usage_error("option --richness needs a value" --richness)
 expect_usage_error("option --streaming-rows needs a value" --streaming-rows --richness 1)
 expect_usage_error("bad --richness value 'abc'" --richness abc)
 expect_usage_error("bad --streaming-rows value '-5'" --streaming-rows -5)
+expect_usage_error("bad --richness value '0': not above 0" --richness 1 --richness 0)

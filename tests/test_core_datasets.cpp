@@ -2,7 +2,9 @@
 // character, richness scaling, and CSV interop.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
+#include <stdexcept>
 
 #include "qif/core/datasets.hpp"
 #include "qif/monitor/export.hpp"
@@ -25,6 +27,16 @@ TEST(Datasets, Io500SkewsPositive) {
   ASSERT_EQ(hist.size(), 2u);
   // Like the paper's 8,647 vs 2,991: interference windows dominate.
   EXPECT_GT(hist[1], hist[0]);
+}
+
+TEST(Datasets, RichnessMustBePositiveAndFinite) {
+  for (const double richness : {0.0, -1.0, std::nan(""), HUGE_VAL}) {
+    DatasetOptions o;
+    o.richness = richness;
+    EXPECT_THROW((void)build_io500_dataset(o), std::invalid_argument) << richness;
+    EXPECT_THROW((void)build_dlio_dataset(o), std::invalid_argument) << richness;
+    EXPECT_THROW((void)build_app_dataset("amrex", o), std::invalid_argument) << richness;
+  }
 }
 
 TEST(Datasets, DlioSkewsNegative) {

@@ -17,7 +17,8 @@ const Command kCmd{"prog sub",
                     {"richness", Kind::kReal, "R", "size", "0.5", 0},
                     {"name", Kind::kText, "S", "a name", "dflt"},
                     {"out", Kind::kText, "F", "required file", "", {}, true},
-                    {"sync", Kind::kFlag, "", "a flag"}}};
+                    {"sync", Kind::kFlag, "", "a flag"},
+                    {"scale", Kind::kReal, "S", "a multiplier", "1", 0, false, true}}};
 
 Args parse_words(std::vector<std::string> words) { return parse(kCmd, words); }
 
@@ -127,6 +128,19 @@ TEST(Options, ValuesBelowTheMinimumAreRefused) {
   const Args at_min = parse_words(w);
   EXPECT_EQ(at_min.get<int>("jobs"), 1);
   EXPECT_DOUBLE_EQ(at_min.get<double>("richness"), 0.0);
+}
+
+TEST(Options, AnAboveMinimumBoundRefusesTheMinimumItself) {
+  const std::vector<std::string> base = {"a", "b", "--out", "f"};
+  auto w = base;
+  w.insert(w.end(), {"--scale", "0"});
+  EXPECT_EQ(usage_error(w), "bad --scale value '0': not above 0");
+  w = base;
+  w.insert(w.end(), {"--scale", "-1"});
+  EXPECT_EQ(usage_error(w), "bad --scale value '-1': not above 0");
+  w = base;
+  w.insert(w.end(), {"--scale", "0.001"});
+  EXPECT_DOUBLE_EQ(parse_words(w).get<double>("scale"), 0.001);
 }
 
 TEST(Options, RequiredOptionsMustBeGiven) {

@@ -4,6 +4,7 @@
 // error (this test also runs under ASan in tier1 alongside test_qds_fuzz).
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -53,6 +54,29 @@ TEST(Qwp, RoundTripsBuiltProgramsExactly) {
     // Serialization is canonical: a second trip is byte-identical.
     EXPECT_EQ(serialize(back), text) << name;
   }
+}
+
+// The checksum line of every catalogue workload's export (2 ranks,
+// scale 1), pinned: however programs are stored in memory, `qif workloads
+// export` must keep writing these exact bytes.
+TEST(Qwp, CatalogueExportChecksumsArePinned) {
+  const std::map<std::string, std::string> pinned = {
+      {"ior-easy-read", "29f615bce8015857"},  {"ior-hard-read", "1f831ce1662cd81a"},
+      {"mdt-hard-read", "350a67b7feffd54c"},  {"ior-easy-write", "0bc753d578bc8d0b"},
+      {"ior-hard-write", "94c46d46dbde2955"}, {"mdt-easy-write", "1b5bc7bd42c51ad9"},
+      {"mdt-hard-write", "8829ac603380a3b9"}, {"io500-suite", "7a64e20e065ccb1c"},
+      {"dlio-unet3d", "b9d2dac87013363e"},    {"dlio-bert", "6bfdd09ec5bdc94b"},
+      {"enzo", "f7378e8ea11c3fbf"},           {"amrex", "aba7e14769d1f84c"},
+      {"openpmd", "20bc2911488d70f9"},
+  };
+  std::map<std::string, std::string> got;
+  for (const std::string& name : known_workloads()) {
+    const std::string text = serialize(build_program(name, 2, 1.0));
+    const auto pos = text.rfind("checksum ");
+    ASSERT_NE(pos, std::string::npos) << name;
+    got[name] = text.substr(pos + 9, 16);
+  }
+  EXPECT_EQ(got, pinned);
 }
 
 TEST(Qwp, ChecksumWildcardSkipsVerification) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
 
 #include "qif/core/scenario.hpp"
@@ -80,6 +81,29 @@ TEST_P(WorkloadScenarioTest, ReplayIsBitIdentical) {
   for (std::size_t i = 0; i < a.trace.size(); ++i) {
     EXPECT_EQ(a.trace.records()[i].end, b.trace.records()[i].end);
   }
+}
+
+// Trace fingerprints of strided IOR transfers under looping noise, pinned:
+// ior-hard-read steps its offsets by n_ranks transfers (stride != len) and
+// ior-easy-write by one (stride == len).  Each runs as the target with the
+// other looping as noise, so a program's body is replayed many times over.
+TEST(StridedTransfers, LoopingNoiseFingerprintsArePinned) {
+  const auto fingerprint = [](const std::string& target, const std::string& noise) {
+    ScenarioConfig cfg = small_config(target);
+    InterferenceSpec bg;
+    bg.workload = noise;
+    bg.nodes = {2, 3};
+    bg.instances = 3;
+    bg.scale = 0.25;
+    cfg.interference = bg;
+    const ScenarioResult res = run_scenario(cfg);
+    EXPECT_TRUE(res.target_finished) << target;
+    return trace::trace_fingerprint(res.trace);
+  };
+  const std::uint64_t hard_read = fingerprint("ior-hard-read", "ior-easy-write");
+  const std::uint64_t easy_write = fingerprint("ior-easy-write", "ior-hard-read");
+  EXPECT_EQ(hard_read, 13381527279156813857ull);
+  EXPECT_EQ(easy_write, 898418919929659240ull);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, WorkloadScenarioTest,

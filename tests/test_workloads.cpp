@@ -2,8 +2,13 @@
 // drivers.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <set>
+#include <stdexcept>
+#include <vector>
 
 #include "qif/pfs/cluster.hpp"
 #include "qif/sim/simulation.hpp"
@@ -27,6 +32,16 @@ TEST(Registry, KnowsAllCanonicalWorkloads) {
   }
   EXPECT_FALSE(is_known_workload("nope"));
   EXPECT_THROW(build_named_program("nope", 0, 1, 0, 1), std::invalid_argument);
+}
+
+TEST(Registry, ScaleMustBePositiveAndFinite) {
+  for (const double scale : {0.0, -1.0, std::nan(""), HUGE_VAL}) {
+    EXPECT_THROW((void)build_named_program("ior-easy-write", 0, 1, 0, 1, scale),
+                 std::invalid_argument)
+        << scale;
+  }
+  // Below one still builds, with at least one transfer.
+  EXPECT_EQ(build_named_program("ior-easy-write", 0, 1, 0, 1, 0.001).body.size(), 3u);
 }
 
 TEST(Registry, UserBuildersPlugIntoTheFactory) {
@@ -257,6 +272,102 @@ TEST(Proxies, AmrexIsWriteHeavy) {
   }
   EXPECT_EQ(written, 2 * (16 << 20));
 }
+
+TEST(OpSeq, IorEasyWriteBodyIsThreeRecords) {
+  // create, one strided write run, close — however many transfers.
+  const RankProgram prog = build_named_program("ior-easy-write", 0, 4, 0, 1, 4.0);
+  EXPECT_LE(prog.body.records().size(), 3u);
+  EXPECT_EQ(prog.body.size(), 768u + 2u);
+  EXPECT_EQ(prog.paths.size(), 1u);
+}
+
+TEST(OpSeq, FoldsStridedRunsAndExpandsThemExactly) {
+  const auto transfer = [](OpSpec::Kind kind, int slot, std::int64_t offset, std::int64_t len) {
+    OpSpec op;
+    op.kind = kind;
+    op.slot = slot;
+    op.offset = offset;
+    op.len = len;
+    return op;
+  };
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const std::vector<OpSpec> ops = {
+      transfer(OpSpec::Kind::kWrite, 0, 0, 5),
+      transfer(OpSpec::Kind::kWrite, 0, 10, 5),
+      transfer(OpSpec::Kind::kWrite, 0, 20, 5),   // run of 3, stride 10
+      transfer(OpSpec::Kind::kWrite, 0, 25, 5),   // breaks the stride: new record
+      transfer(OpSpec::Kind::kWrite, 0, 25, 5),   // stride 0 joins it
+      transfer(OpSpec::Kind::kRead, 0, 25, 5),    // other kind
+      transfer(OpSpec::Kind::kRead, 1, 25, 5),    // other slot
+      transfer(OpSpec::Kind::kRead, 1, 30, 6),    // other len
+      transfer(OpSpec::Kind::kRead, 2, 0, 1),
+      transfer(OpSpec::Kind::kRead, 2, kMax, 1),  // stride INT64_MAX, so the next
+      transfer(OpSpec::Kind::kRead, 2, -2, 1),    // step 0 + 2 * stride wraps to -2
+  };
+  RankProgram prog;
+  for (const OpSpec& op : ops) prog.body.push_back(op);
+  EXPECT_EQ(prog.body.records().size(), 6u);
+  ASSERT_EQ(prog.body.size(), ops.size());
+  EXPECT_EQ(std::vector<OpSpec>(prog.body.begin(), prog.body.end()), ops);
+  for (std::size_t i = 0; i < ops.size(); ++i) EXPECT_EQ(prog.body[i], ops[i]) << i;
+}
+
+TEST(OpSeq, PathsAreInternedOncePerRank) {
+  RankProgram prog;
+  OpSpec create;
+  create.kind = OpSpec::Kind::kCreate;
+  create.path = "/d/f";
+  create.stripes = 2;
+  create.stripe_hint = 7;
+  prog.prologue.push_back(create);
+  OpSpec stat;
+  stat.kind = OpSpec::Kind::kStat;
+  stat.path = "/d/f";
+  prog.body.push_back(stat);
+  stat.path = "/d";
+  prog.body.push_back(stat);
+  EXPECT_EQ(prog.paths.size(), 2u);
+  EXPECT_EQ(prog.prologue.front(), create);
+  EXPECT_EQ(prog.body[0].path, "/d/f");
+  EXPECT_EQ(prog.body[1].path, "/d");
+}
+
+TEST(OpSeq, EqualityComparesPathsNotTheirInterningOrder) {
+  OpSpec x;
+  x.kind = OpSpec::Kind::kMkdir;
+  x.path = "/x";
+  OpSpec y = x;
+  y.path = "/y";
+  RankProgram a;
+  a.prologue.push_back(x);
+  a.body.push_back(y);
+  RankProgram b;  // interns /y first
+  b.body.push_back(y);
+  b.prologue.push_back(x);
+  EXPECT_EQ(a, b);
+  RankProgram c;
+  c.prologue.push_back(x);
+  c.body.push_back(x);
+  EXPECT_NE(a, c);
+}
+
+TEST(OpSeq, CopiesAndMovesKeepTheirOwnPathTable) {
+  std::vector<RankProgram> ranks;
+  for (int r = 0; r < 9; ++r) {  // reallocations move every element
+    ranks.push_back(build_named_program("mdt-easy-write", r, 9, 0, 1, 0.05));
+  }
+  const std::vector<RankProgram> copies = ranks;
+  RankProgram assigned;
+  assigned = ranks[3];
+  RankProgram moved = std::move(ranks[3]);
+  ranks.clear();
+  EXPECT_EQ(moved, copies[3]);
+  EXPECT_EQ(assigned, copies[3]);
+  EXPECT_EQ(moved.body.front().path, build_named_program("mdt-easy-write", 3, 9, 0, 1, 0.05)
+                                         .body.front()
+                                         .path);
+}
+
 
 struct ExecutorFixture : ::testing::Test {
   sim::Simulation s;

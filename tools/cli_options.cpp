@@ -31,6 +31,9 @@ void check_value(const Option& o, const std::string& v) {
   }
   const std::string what = "bad --" + std::string(o.name) + " value '" + v + "'";
   if (!std::isfinite(x)) throw UsageError(what + ": not a number");
+  if (o.min && o.above_min && x <= *o.min) {
+    throw UsageError(what + ": not above " + std::to_string(*o.min));
+  }
   if (o.min && x < *o.min) {
     throw UsageError(what + ": below the minimum " + std::to_string(*o.min));
   }
@@ -169,7 +172,7 @@ void print_usage(std::FILE* out, const Command& cmd) {
     if (o.kind != Kind::kFlag) left.append(" ").append(o.metavar);
     std::string notes;
     if (!o.dflt.empty()) notes += ", default " + o.dflt;
-    if (o.min) notes += ", at least " + std::to_string(*o.min);
+    if (o.min) notes += (o.above_min ? ", above " : ", at least ") + std::to_string(*o.min);
     if (o.required) notes += ", required";
     if (!notes.empty()) notes = " (" + notes.substr(2) + ")";
     std::fprintf(out, "    %-22s %s%s\n", left.c_str(), std::string(o.help).c_str(),

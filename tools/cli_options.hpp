@@ -22,9 +22,10 @@ enum class Kind { kFlag, kInt, kReal, kText };
 /// takes the next word, which an int or real option parses in full.
 struct Option {
   Option(std::string_view name_, Kind kind_, std::string_view metavar_, std::string_view help_,
-         std::string dflt_ = "", std::optional<int> min_ = {}, bool required_ = false)
+         std::string dflt_ = "", std::optional<int> min_ = {}, bool required_ = false,
+         bool above_min_ = false)
       : name(name_), kind(kind_), metavar(metavar_), help(help_), dflt(std::move(dflt_)),
-        min(min_), required(required_) {}
+        min(min_), required(required_), above_min(above_min_) {}
 
   std::string_view name;  // without the leading "--"
   Kind kind;
@@ -33,6 +34,7 @@ struct Option {
   std::string dflt;           // the value when the option is absent ("" = none)
   std::optional<int> min;     // smallest accepted value of an int or real option
   bool required;
+  bool above_min;             // refuse `min` itself too: values must exceed it
 };
 
 class Args;

@@ -32,6 +32,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "qif/core/datasets.hpp"
@@ -775,13 +776,19 @@ void print_bench_outcome(const char* mode, const BenchOutcome& o, std::uint64_t 
   }
 }
 
+/// Producer p's slice [first, first + count) of `requests`: an even split,
+/// the first `requests % producers` producers taking one more each.
+std::pair<std::size_t, std::size_t> producer_slice(std::size_t requests, int producers, int p) {
+  const auto n = static_cast<std::size_t>(producers);
+  const auto k = static_cast<std::size_t>(p);
+  const std::size_t extra = requests % n;
+  return {k * (requests / n) + std::min(k, extra), requests / n + (k < extra ? 1 : 0)};
+}
+
 int cmd_serve_bench(const Args& args) {
   const serve::ServingModel model = resolve_serving_model(args);
   const int producers = args.get<int>("producers");
   const auto requests = static_cast<std::size_t>(args.get<int>("requests"));
-  const std::size_t per_producer =
-      (requests + static_cast<std::size_t>(producers) - 1) /
-      static_cast<std::size_t>(producers);
   const auto seed = static_cast<std::uint64_t>(args.get<int>("seed"));
   if (args.has("sync")) {
     const BenchOutcome o = run_sync_bench(model, requests, seed);
@@ -823,8 +830,8 @@ int cmd_serve_bench(const Args& args) {
   std::vector<std::thread> threads;
   for (int p = 0; p < producers; ++p) {
     threads.emplace_back([&, p] {
-      run_producer(service, feat, per_producer, inflight, seed, p,
-                   partial[static_cast<std::size_t>(p)]);
+      run_producer(service, feat, producer_slice(requests, producers, p).second, inflight, seed,
+                   p, partial[static_cast<std::size_t>(p)]);
     });
   }
   for (auto& t : threads) t.join();
@@ -855,9 +862,6 @@ int cmd_serve_verify(const Args& args) {
   const serve::ServingModel model = resolve_serving_model(args);
   const int producers = args.get<int>("producers");
   const auto requests = static_cast<std::size_t>(args.get<int>("requests"));
-  const std::size_t per_producer =
-      (requests + static_cast<std::size_t>(producers) - 1) /
-      static_cast<std::size_t>(producers);
   const auto seed = static_cast<std::uint64_t>(args.get<int>("seed"));
   serve::ServiceConfig scfg;
   scfg.max_batch = static_cast<std::size_t>(args.get<int>("max-batch"));
@@ -869,15 +873,14 @@ int cmd_serve_verify(const Args& args) {
   serve::InferenceService service(live, scfg);
   service.start();
   const std::size_t feat = model.feature_dim();
-  const std::size_t total = per_producer * static_cast<std::size_t>(producers);
-  std::deque<serve::Request> reqs(total);
-  std::vector<std::vector<double>> features(total, std::vector<double>(feat));
+  std::deque<serve::Request> reqs(requests);
+  std::vector<std::vector<double>> features(requests, std::vector<double>(feat));
   std::vector<std::thread> threads;
   for (int p = 0; p < producers; ++p) {
     threads.emplace_back([&, p] {
       sim::Rng rng(sim::Rng::derive_seed(seed, "producer-" + std::to_string(p)));
-      const std::size_t base = static_cast<std::size_t>(p) * per_producer;
-      for (std::size_t i = 0; i < per_producer; ++i) {
+      const auto [base, count] = producer_slice(requests, producers, p);
+      for (std::size_t i = 0; i < count; ++i) {
         fill_synthetic_features(rng, features[base + i].data(), feat);
         reqs[base + i].features = features[base + i].data();
         reqs[base + i].n_features = feat;
@@ -896,7 +899,7 @@ int cmd_serve_verify(const Args& args) {
   serve::Request sync_req;
   serve::Request* rp = &sync_req;
   std::size_t mismatches = 0;
-  for (std::size_t i = 0; i < total; ++i) {
+  for (std::size_t i = 0; i < requests; ++i) {
     sync_req.reset();
     sync_req.features = features[i].data();
     sync_req.n_features = feat;
@@ -909,7 +912,7 @@ int cmd_serve_verify(const Args& args) {
   }
   std::printf("verified %zu batched predictions against the sync path: %s"
               " (%llu batches, %zu mismatches)\n",
-              total, mismatches == 0 ? "bit-identical" : "MISMATCH",
+              requests, mismatches == 0 ? "bit-identical" : "MISMATCH",
               static_cast<unsigned long long>(service.stats().batches.load()), mismatches);
   return mismatches == 0 ? 0 : 1;
 }
@@ -938,7 +941,8 @@ int cmd_serve_versions(const Args& args) {
 using cli::Kind;
 
 // Options several commands share.
-const cli::Option kScale{"scale", Kind::kReal, "S", "multiply the workload's op counts", "1"};
+const cli::Option kScale{"scale", Kind::kReal, "S", "multiply the workload's op counts", "1",
+                        0, false, /*above_min=*/true};
 const cli::Option kSeed{"seed", Kind::kInt, "K", "simulation seed", "1"};
 const cli::Option kLanes{"lanes", Kind::kInt, "N", "parallel event lanes, 1 to the OSS count"};
 const cli::Option kTopology{"topology", Kind::kText, "CxSxT", "cluster shape, e.g. 1008x16x8"};
@@ -977,7 +981,7 @@ const std::vector<cli::Command>& commands() {
         {"instances", Kind::kInt, "N", "looping copies of the noise workload", "15", 0},
         kScale, kSeed, kFaults, kLanes, kTopology, kMitigate, kReplayTiming}, cmd_run},
       {"qif campaign", "<io500|dlio|amrex|enzo|openpmd|custom>", 1, "build a labelled dataset",
-       {{"richness", Kind::kReal, "R", "campaign size multiplier", "1"},
+       {{"richness", Kind::kReal, "R", "campaign size multiplier", "1", 0, false, true},
         {"workload", Kind::kText, "W", "target of family custom (any workload name)"},
         {"bins", Kind::kText, "2|2,5", "degradation thresholds of the classes", "2"},
         {"seed", Kind::kInt, "K", "campaign seed", "42"},
